@@ -17,19 +17,14 @@ import sys
 import numpy as np
 
 from . import __version__
-from .cones import is_copositive, simplex_min_oracle
+from .cones import OrderLimitError, is_copositive, simplex_min_oracle
 from .complement import ComplementError, check_assumptions, decompose_dual
 from .defeq import build_system, rank_certificate
 from .paperlab import run_scenario, scenario_names, SCENARIOS
-from .symcore import SymMatError, Tolerances, symmat_to_json, symmat_from_json
+from .symcore import SymMatError, Tolerances, load_symmat, symmat_to_json
 from .zerostruct import ZeroStructureError, compute_zero_structure
 
 SCHEMA = "copcomp/1"
-
-
-def _load_symmat(path: str) -> np.ndarray:
-    with open(path) as fh:
-        return symmat_from_json(json.load(fh))
 
 
 def _digest(*mats) -> str:
@@ -47,10 +42,15 @@ def _tolerances(args) -> Tolerances:
 
 def cmd_analyze(args) -> int:
     try:
-        x = _load_symmat(args.x)
-        u = _load_symmat(args.u) if args.u else None
+        x = load_symmat(args.x)
+        u = load_symmat(args.u) if args.u else None
         tol = _tolerances(args)
     except (OSError, json.JSONDecodeError, SymMatError, ValueError) as exc:
+        print(f"input error: {exc}", file=sys.stderr)
+        return 2
+    try:
+        verdict = is_copositive(x, tol)
+    except OrderLimitError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
 
@@ -62,10 +62,8 @@ def cmd_analyze(args) -> int:
                        "psd_tol": tol.psd_tol},
         "inputs": {"x": symmat_to_json(x),
                    "u": None if u is None else symmat_to_json(u)},
+        "copositive": verdict.to_json(),
     }
-
-    verdict = is_copositive(x, tol)
-    report["copositive"] = verdict.to_json()
     if args.verify_oracle:
         bound, arg = simplex_min_oracle(x, args.grid_depth)
         report["oracle"] = {"grid_depth": args.grid_depth,
@@ -76,7 +74,7 @@ def cmd_analyze(args) -> int:
         return 1
 
     try:
-        zs = compute_zero_structure(x, tol)
+        zs = compute_zero_structure(x, tol, verdict)
     except ZeroStructureError as exc:
         report["verdict"] = "ZERO_STRUCTURE_FAILURE"
         report["error"] = str(exc)

@@ -64,7 +64,7 @@ class DualDecomposition:
 
     components: list  # full p x p matrices, supported on P_*(s) x P_*(s)
     restricted: list  # W0(s) of order p(s)
-    coefficients: list  # per block: {(i, j): weight} over V(J(s))
+    coefficients: list  # per block: {vertex subset: positive NNLS weight}
     residual: float
     unique: bool
 
@@ -163,8 +163,10 @@ def decompose_dual(u: np.ndarray, zs: ZeroStructure, tol: Tolerances = Tolerance
     components = [np.zeros((p, p)) for _ in zs.blocks]
     coefficients = [dict() for _ in zs.blocks]
     for weight, (s, combo, g) in zip(w, gens):
+        if weight == 0.0:
+            continue  # NNLS leaves most subset weights at exactly zero
         components[s] += weight * np.outer(g, g)
-        coefficients[s][combo] = coefficients[s].get(combo, 0.0) + float(weight)
+        coefficients[s][combo] = float(weight)
     restricted = [restrict(components[s], zs.supports[s]) for s in range(len(zs.blocks))]
     # uniqueness of the grouping follows from independence of the basis-pair
     # generators (Assumption jj's family)

@@ -19,6 +19,12 @@ from .symcore import Tolerances, symmetrize
 
 EXACT_COPOSITIVITY_LIMIT = 12
 
+# A face whose KKT critical value is >= best - FACE_PRUNE_SLACK cannot lower
+# the running minimum, so its feasibility LP is skipped.  The slack absorbs
+# the rounding of lam/2 from least squares against the value t'Xt that the
+# LP path would recompute; it is not a tolerance of the verdict.
+FACE_PRUNE_SLACK = 1e-12
+
 NOT_IN_SPAN = "NOT_IN_SPAN"
 
 
@@ -76,12 +82,19 @@ class CpCertificate:
         }
 
 
-def _face_minima(x: np.ndarray, support: tuple[int, ...], tol: Tolerances):
+def _face_minima(x: np.ndarray, support: tuple[int, ...], tol: Tolerances,
+                 best: float = np.inf):
     """Stationary candidates of t'Xt on the face with the given support.
 
     Solves the KKT system 2 X_I t = lam * 1, sum(t) = 1 on the face and
     keeps nonnegative solutions.  Singular faces are handled by least
     squares; sub-face minima are covered by smaller supports.
+
+    The critical value t'X_I t = lam/2 is the same at every KKT solution,
+    so it is known before the feasibility LP of a rank-deficient face.
+    When lam/2 >= best - FACE_PRUNE_SLACK the face cannot lower the running
+    minimum ``best`` and [] is returned without the LP; the minimum found
+    by the caller therefore moves by at most FACE_PRUNE_SLACK (1e-12).
     """
     idx = np.asarray(support)
     xi = x[np.ix_(idx, idx)]
@@ -103,6 +116,8 @@ def _face_minima(x: np.ndarray, support: tuple[int, ...], tol: Tolerances):
     if np.min(ti) < -tol.zero_tol:
         # The critical value is constant on the KKT solution set; when the
         # system is rank deficient, search that set for a feasible point.
+        if 0.5 * sol[k] >= best - FACE_PRUNE_SLACK:
+            return []
         ns = null_space(a)
         if ns.shape[1] == 0:
             return []
@@ -134,6 +149,12 @@ def is_copositive(x: np.ndarray, tol: Tolerances = Tolerances()) -> CopVerdict:
     Minimizes t'Xt over the simplex by enumerating KKT supports; member
     iff the minimum is >= -zero_tol.  A negative diagonal entry short
     circuits with a coordinate-vector witness.
+
+    The running minimum prunes the face LPs (see ``_face_minima``): a
+    skipped face has critical value >= minimum - FACE_PRUNE_SLACK, so
+    ``min_value`` is at most 1e-12 above the unpruned minimum, and
+    ``member`` can differ only when that minimum lies within 1e-12 below
+    -zero_tol, far inside the resolution of any zero_tol >= 1e-12.
     """
     x = symmetrize(x)
     p = x.shape[0]
@@ -156,7 +177,7 @@ def is_copositive(x: np.ndarray, tol: Tolerances = Tolerances()) -> CopVerdict:
     for size in range(1, p + 1):
         for support in itertools.combinations(range(p), size):
             checked += 1
-            for val, t in _face_minima(x, support, tol):
+            for val, t in _face_minima(x, support, tol, best_val):
                 if val < best_val:
                     best_val, best_t = val, t
     member = best_val >= -tol.zero_tol

@@ -53,10 +53,13 @@ def symmetrize(a) -> np.ndarray:
 
 
 def check_symmetric(a, tol: float = 1e-12) -> np.ndarray:
-    """Symmetrize ``a`` after checking the asymmetry does not exceed ``tol``."""
+    """Symmetrize ``a`` after checking its entries are finite and the
+    asymmetry does not exceed ``tol``."""
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise SymMatError(f"expected a square matrix, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise SymMatError("matrix has a non-finite (NaN or infinite) entry")
     asym = np.max(np.abs(a - a.T)) if a.size else 0.0
     if asym > tol:
         raise SymMatError(f"matrix asymmetry {asym:.3e} exceeds {tol:.3e}")

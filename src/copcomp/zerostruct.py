@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import linprog
 
-from .cones import is_copositive
+from .cones import CopVerdict, is_copositive
 from .symcore import Tolerances, rank_of_vectors, symmetrize
 
 
@@ -92,16 +92,21 @@ def _in_convex_hull(t: np.ndarray, others: list[np.ndarray], tol: float = 1e-9) 
     return bool(res.success)
 
 
-def enumerate_zero_vertices(x: np.ndarray, tol: Tolerances = Tolerances()) -> list[np.ndarray]:
+def enumerate_zero_vertices(x: np.ndarray, tol: Tolerances = Tolerances(),
+                            verdict: CopVerdict | None = None) -> list[np.ndarray]:
     """Vertices of conv T_a(X) for a copositive X.
 
     For each support I the zeros with full support I lie in the kernel of
     the principal submatrix X_I; a vertex with that exact support exists
     iff the kernel is one-dimensional with a strictly positive generator.
     Candidates are deduplicated and filtered to convex-hull vertices.
+
+    ``verdict`` is ``is_copositive(x, tol)`` when the caller already holds
+    it; it is computed here when absent.
     """
     x = symmetrize(x)
-    verdict = is_copositive(x, tol)
+    if verdict is None:
+        verdict = is_copositive(x, tol)
     if not verdict.member:
         raise ZeroStructureError(
             f"matrix is not copositive (min {verdict.min_value:.3e}); "
@@ -249,10 +254,14 @@ def basis_subset(vertices: list, block, tol: Tolerances = Tolerances()) -> tuple
     return tuple(chosen)
 
 
-def compute_zero_structure(x: np.ndarray, tol: Tolerances = Tolerances()) -> ZeroStructure:
-    """Full pipeline: vertices, contact sets, blocks, supports, bases."""
+def compute_zero_structure(x: np.ndarray, tol: Tolerances = Tolerances(),
+                           verdict: CopVerdict | None = None) -> ZeroStructure:
+    """Full pipeline: vertices, contact sets, blocks, supports, bases.
+
+    ``verdict`` is passed on to :func:`enumerate_zero_vertices`.
+    """
     x = symmetrize(x)
-    vertices = enumerate_zero_vertices(x, tol)
+    vertices = enumerate_zero_vertices(x, tol, verdict)
     contact_sets = [compute_contact_set(x, v, tol) for v in vertices]
     if vertices:
         blocks, witnesses = partition_blocks(vertices, contact_sets, tol)

@@ -3,8 +3,12 @@ import json
 import numpy as np
 import pytest
 
+import copcomp.cli as cli
+import copcomp.cones as cones
+import copcomp.zerostruct as zerostruct
 from copcomp.cli import SCHEMA, main
-from copcomp.paperlab import build_s4
+from copcomp.cones import EXACT_COPOSITIVITY_LIMIT
+from copcomp.paperlab import build_extremal5, build_s4
 from copcomp.symcore import symmat_to_json
 
 
@@ -149,3 +153,73 @@ def test_scenario_run_requires_name(capsys):
 def test_threads_validation(s4_files, capsys):
     rc = main(["analyze", s4_files[0], "--threads", "0"])
     assert rc == 2
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")],
+                         ids=["nan", "inf", "-inf"])
+def test_analyze_non_finite_entry_exit_2(tmp_path, capsys, bad):
+    x = build_s4()["x"].copy()
+    x[0, 1] = x[1, 0] = bad
+    rc = main(["analyze", _write(tmp_path, "x.json", x)])
+    assert rc == 2
+    assert "input error" in capsys.readouterr().err
+
+
+def test_analyze_order_above_exact_limit_exit_2(tmp_path, capsys):
+    path = _write(tmp_path, "big.json", np.eye(EXACT_COPOSITIVITY_LIMIT + 1))
+    rc = main(["analyze", path])
+    assert rc == 2
+    assert "input error" in capsys.readouterr().err
+
+
+def _padded_hildebrand(p):
+    data = build_extremal5()
+    x, u = np.zeros((p, p)), np.zeros((p, p))
+    x[:5, :5] = data["x"]
+    u[:5, :5] = data["u"]
+    return x, u
+
+
+def test_analyze_sweeps_supports_once_without_face_lps(tmp_path, capsys,
+                                                       monkeypatch):
+    calls = {"is_copositive": 0, "linprog": 0}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    sweep = counting("is_copositive", cones.is_copositive)
+    monkeypatch.setattr(cli, "is_copositive", sweep)
+    monkeypatch.setattr(zerostruct, "is_copositive", sweep)
+    monkeypatch.setattr(cones, "linprog", counting("linprog", cones.linprog))
+    x, u = _padded_hildebrand(8)
+    main(["analyze", _write(tmp_path, "x.json", x),
+          _write(tmp_path, "u.json", u), "--json"])
+    report = json.loads(capsys.readouterr().out)
+    assert report["copositive"]["supports_checked"] == 2 ** 8 - 1
+    assert calls == {"is_copositive": 1, "linprog": 0}
+
+
+@pytest.mark.parametrize("pair", ["s4", "hildebrand+0_3"])
+def test_analyze_coefficients_positive_and_rebuild_components(
+        tmp_path, capsys, pair):
+    if pair == "s4":
+        data = build_s4()
+        x, u = data["x"], data["u"]
+    else:
+        x, u = _padded_hildebrand(8)
+    main(["analyze", _write(tmp_path, "x.json", x),
+          _write(tmp_path, "u.json", u), "--json"])
+    report = json.loads(capsys.readouterr().out)
+    vertices = np.asarray(report["zero_structure"]["vertices"])
+    dec = report["decomposition"]
+    assert dec["coefficients"]
+    for coeff, comp in zip(dec["coefficients"], dec["components"]):
+        assert coeff and all(w > 0.0 for w in coeff.values())
+        rebuilt = np.zeros((len(x), len(x)))
+        for combo, w in coeff.items():
+            g = vertices[[int(j) - 1 for j in combo.split("+")]].sum(axis=0)
+            rebuilt += w * np.outer(g, g)
+        assert np.max(np.abs(rebuilt - np.asarray(comp))) <= 1e-12

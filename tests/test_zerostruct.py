@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+from copcomp.cones import is_copositive
 from copcomp.paperlab import THETA_STAR, build_extremal5, build_s4
 from copcomp.symcore import Tolerances
 from copcomp.zerostruct import (
@@ -196,3 +197,22 @@ def test_to_json_uses_one_based_indices():
     assert sorted(map(tuple, obj["supports"])) == [(1, 2), (2, 3)]
     assert sorted(map(tuple, obj["contact_sets"])) == [(1, 2), (2, 3)]
     assert obj["p"] == 3
+
+
+@pytest.mark.parametrize("build", [build_extremal5, build_s4],
+                         ids=["hildebrand", "s4"])
+def test_zero_structure_reuses_verdict(build):
+    x = build()["x"]
+    verdict = is_copositive(x, TOL)
+    given = compute_zero_structure(x, TOL, verdict)
+    fresh = compute_zero_structure(x, TOL)
+    assert given.to_json() == fresh.to_json()
+    assert given.cond_c_witnesses == fresh.cond_c_witnesses
+
+
+def test_zero_structure_rejects_non_member_verdict():
+    bad = np.array([[1.0, -2.0], [-2.0, 1.0]])
+    verdict = is_copositive(bad, TOL)
+    assert not verdict.member
+    with pytest.raises(ZeroStructureError):
+        compute_zero_structure(bad, TOL, verdict)
