@@ -183,8 +183,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--psd-tol", type=float, default=1e-9)
         p.add_argument("--json", action="store_true",
                        help="emit a JSON report instead of text")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker threads (default 1 for determinism)")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -211,9 +209,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "scenario" and args.action == "run" and not args.name:
         print("input error: scenario run requires a name", file=sys.stderr)
-        return 2
-    if getattr(args, "threads", 1) < 1:
-        print("input error: --threads must be >= 1", file=sys.stderr)
         return 2
     return args.func(args)
 

@@ -66,7 +66,12 @@ class DualDecomposition:
     restricted: list  # W0(s) of order p(s)
     coefficients: list  # per block: {vertex subset: positive NNLS weight}
     residual: float
-    unique: bool
+    basis_rank: int  # rank of the basis-pair family (Assumption jj's)
+    basis_pairs: int  # its size; the grouping is unique iff they agree
+
+    @property
+    def unique(self) -> bool:
+        return self.basis_rank == self.basis_pairs
 
     def total(self) -> np.ndarray:
         p = self.components[0].shape[0] if self.components else 0
@@ -120,29 +125,59 @@ def embed(w: np.ndarray, support, p: int) -> np.ndarray:
     return out
 
 
-def _subset_generators(zs: ZeroStructure):
-    """Columns (s, combo, sum of vertices) for every nonempty vertex subset
-    of every block.
+def _subset_columns(vectors, groups):
+    """Subset-sum generators of each group of vectors, and their NNLS matrix.
 
-    Every subset sum lies in cone T_a(s, X0), so these are legitimate
-    generators of F(s).  The family contains the vertex-pair sums used
-    by the strict-complementarity test but also reaches components such
-    as a rank-one (tau(1)+...+tau(n)) outer product that no conic
-    combination of pair outers can produce.
+    ``groups`` lists index tuples into ``vectors``.  For every group s and
+    every nonempty subset combo of it, in itertools order (by size, then
+    lexicographic), returns the label (s, combo), the subset sum g as a row
+    of ``gens`` and vec(g g') as a column of the C-contiguous (p^2, n)
+    matrix ``cols``.  Sums are added left to right, the order of
+    ``np.sum(..., axis=0)``.
+
+    For the blocks of a zero structure every subset sum lies in
+    cone T_a(s, X0), so these are legitimate generators of F(s).  The
+    family contains the vertex-pair sums used by the strict-complementarity
+    test but also reaches components such as a rank-one
+    (tau(1)+...+tau(n)) outer product that no conic combination of pair
+    outers can produce.
     """
-    gens = []
-    for s, block in enumerate(zs.blocks):
-        members = sorted(block)
+    vectors = np.asarray(vectors, dtype=float)
+    labels, sums = [], []
+    for s, members in enumerate(groups):
+        members = sorted(members)
         for r in range(1, len(members) + 1):
-            for combo in itertools.combinations(members, r):
-                g = np.sum([zs.vertices[j] for j in combo], axis=0)
-                gens.append((s, combo, g))
-    return gens
+            combos = list(itertools.combinations(members, r))
+            idx = np.array(combos)
+            g = vectors[idx[:, 0]]
+            for c in range(1, r):
+                g = g + vectors[idx[:, c]]
+            labels += [(s, combo) for combo in combos]
+            sums.append(g)
+    gens = np.vstack(sums)
+    gt = np.ascontiguousarray(gens.T)
+    cols = (gt[:, None, :] * gt[None, :, :]).reshape(gt.shape[0] ** 2, -1)
+    return labels, gens, cols
+
+
+def _basis_pair_rank(zs: ZeroStructure, tol: Tolerances) -> tuple[int, int]:
+    """Rank and size of the basis-pair family {(tau(i)+tau(j))(tau(i)+tau(j))'
+    : i <= j in J_b(s)}, whose independence is Assumption jj."""
+    mats = []
+    for jb in zs.basis:
+        for (i, j) in pair_index_set(jb):
+            g = zs.vertices[i] + zs.vertices[j]
+            mats.append(np.outer(g, g))
+    return rank_of_set(mats, tol), len(mats)
 
 
 def decompose_dual(u: np.ndarray, zs: ZeroStructure, tol: Tolerances = Tolerances()) -> DualDecomposition:
     """Nonnegative least squares of U over the pooled subset-sum
-    generators, grouped by block into the components U0(s)."""
+    generators, grouped by block into the components U0(s).
+
+    Uniqueness of the grouping follows from independence of the basis-pair
+    generators, so the decomposition carries the rank of that family,
+    which Assumption jj reports as well."""
     u = symmetrize(u)
     p = zs.p
     if abs(float(np.tensordot(zs.x, u))) > 10 * tol.zero_tol:
@@ -150,9 +185,8 @@ def decompose_dual(u: np.ndarray, zs: ZeroStructure, tol: Tolerances = Tolerance
     if not zs.blocks:
         if np.linalg.norm(u) > tol.zero_tol:
             raise ComplementError("empty zero set admits only U = 0")
-        return DualDecomposition([], [], [], 0.0, True)
-    gens = _subset_generators(zs)
-    a = np.column_stack([np.outer(g, g).ravel() for _, _, g in gens])
+        return DualDecomposition([], [], [], 0.0, 0, 0)
+    labels, gens, a = _subset_columns(zs.vertices, zs.blocks)
     w, _ = nnls(a, u.ravel())
     residual = float(np.linalg.norm(a @ w - u.ravel()))
     if residual > 10 * tol.zero_tol:
@@ -162,22 +196,14 @@ def decompose_dual(u: np.ndarray, zs: ZeroStructure, tol: Tolerances = Tolerance
         )
     components = [np.zeros((p, p)) for _ in zs.blocks]
     coefficients = [dict() for _ in zs.blocks]
-    for weight, (s, combo, g) in zip(w, gens):
+    for weight, (s, combo), g in zip(w, labels, gens):
         if weight == 0.0:
             continue  # NNLS leaves most subset weights at exactly zero
         components[s] += weight * np.outer(g, g)
         coefficients[s][combo] = float(weight)
     restricted = [restrict(components[s], zs.supports[s]) for s in range(len(zs.blocks))]
-    # uniqueness of the grouping follows from independence of the basis-pair
-    # generators (Assumption jj's family)
-    basis_cols = []
-    for s, jb in enumerate(zs.basis):
-        for (i, j) in pair_index_set(jb):
-            g = zs.vertices[i] + zs.vertices[j]
-            basis_cols.append(np.outer(g, g))
-    expected = sum(len(pair_index_set(jb)) for jb in zs.basis)
-    unique = rank_of_set(basis_cols, tol) == expected
-    return DualDecomposition(components, restricted, coefficients, residual, unique)
+    return DualDecomposition(components, restricted, coefficients, residual,
+                             *_basis_pair_rank(zs, tol))
 
 
 def _strictness_lp(w_restricted: np.ndarray, bars: list[np.ndarray], slack: float):
@@ -252,17 +278,10 @@ def check_assumption_j(zs: ZeroStructure, dd: DualDecomposition, tol: Tolerances
     return Verdict(status, {"blocks": per_block, "delta_strict": DELTA_STRICT})
 
 
-def check_assumption_jj(zs: ZeroStructure, tol: Tolerances = Tolerances()) -> Verdict:
+def check_assumption_jj(dd: DualDecomposition) -> Verdict:
     """Linear independence of the basis-pair rank-one matrices."""
-    mats = []
-    for s, jb in enumerate(zs.basis):
-        for (i, j) in pair_index_set(jb):
-            g = zs.vertices[i] + zs.vertices[j]
-            mats.append(np.outer(g, g))
-    expected = sum(len(pair_index_set(jb)) for jb in zs.basis)
-    rank = rank_of_set(mats, tol) if mats else 0
-    status = PASS if rank == expected else FAIL
-    return Verdict(status, {"rank": rank, "expected": expected})
+    status = PASS if dd.unique else FAIL
+    return Verdict(status, {"rank": dd.basis_rank, "expected": dd.basis_pairs})
 
 
 def check_assumption_jjj(zs: ZeroStructure) -> Verdict:
@@ -296,12 +315,8 @@ def positive_factorization(w: np.ndarray, taus_restricted: list,
     lam = np.linalg.eigvalsh(w)
     if lam.size and lam[0] < -tol.psd_tol:
         raise ValueError("W must be PSD for positive factorization")
-    n = len(taus_restricted)
-    subsets = [combo for r in range(1, n + 1)
-               for combo in itertools.combinations(range(n), r)]
-    gens = [np.sum([taus_restricted[j] for j in combo], axis=0)
-            for combo in subsets]
-    cols = np.column_stack([np.outer(g, g).ravel() for g in gens])
+    _, gens, cols = _subset_columns(taus_restricted,
+                                    [range(len(taus_restricted))])
     alpha, _ = nnls(cols, w.ravel())
     if np.linalg.norm(cols @ alpha - w.ravel()) > 10 * tol.zero_tol:
         return None
@@ -378,7 +393,7 @@ def check_assumptions(x: np.ndarray, u: np.ndarray, zs: ZeroStructure,
     if abs(float(np.tensordot(x, u))) > 10 * tol.zero_tol:
         raise ComplementError("pair is not complementary within tolerance")
     jjj = check_assumption_jjj(zs)
-    jj = check_assumption_jj(zs, tol)
+    jj = check_assumption_jj(dd)
     j = check_assumption_j(zs, dd, tol)
     cond_i, cond_ii, cond_iii = check_conditions(zs, dd, tol)
     return AssumptionReport(j=j, jj=jj, jjj=jjj,

@@ -12,18 +12,11 @@ import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import null_space
-from scipy.optimize import linprog, nnls
+from scipy.optimize import nnls
 
 from .symcore import Tolerances, symmetrize
 
 EXACT_COPOSITIVITY_LIMIT = 12
-
-# A face whose KKT critical value is >= best - FACE_PRUNE_SLACK cannot lower
-# the running minimum, so its feasibility LP is skipped.  The slack absorbs
-# the rounding of lam/2 from least squares against the value t'Xt that the
-# LP path would recompute; it is not a tolerance of the verdict.
-FACE_PRUNE_SLACK = 1e-12
 
 NOT_IN_SPAN = "NOT_IN_SPAN"
 
@@ -82,65 +75,11 @@ class CpCertificate:
         }
 
 
-def _face_minima(x: np.ndarray, support: tuple[int, ...], tol: Tolerances,
-                 best: float = np.inf):
-    """Stationary candidates of t'Xt on the face with the given support.
-
-    Solves the KKT system 2 X_I t = lam * 1, sum(t) = 1 on the face and
-    keeps nonnegative solutions.  Singular faces are handled by least
-    squares; sub-face minima are covered by smaller supports.
-
-    The critical value t'X_I t = lam/2 is the same at every KKT solution,
-    so it is known before the feasibility LP of a rank-deficient face.
-    When lam/2 >= best - FACE_PRUNE_SLACK the face cannot lower the running
-    minimum ``best`` and [] is returned without the LP; the minimum found
-    by the caller therefore moves by at most FACE_PRUNE_SLACK (1e-12).
-    """
-    idx = np.asarray(support)
-    xi = x[np.ix_(idx, idx)]
-    k = len(idx)
-    if k == 1:
-        t = np.zeros(x.shape[0])
-        t[idx[0]] = 1.0
-        return [(float(xi[0, 0]), t)]
-    a = np.zeros((k + 1, k + 1))
-    a[:k, :k] = 2.0 * xi
-    a[:k, k] = -1.0
-    a[k, :k] = 1.0
-    b = np.zeros(k + 1)
-    b[k] = 1.0
-    sol, _, _, _ = np.linalg.lstsq(a, b, rcond=None)
-    if np.linalg.norm(a @ sol - b, ord=np.inf) > 1e-8:
-        return []
-    ti = sol[:k]
-    if np.min(ti) < -tol.zero_tol:
-        # The critical value is constant on the KKT solution set; when the
-        # system is rank deficient, search that set for a feasible point.
-        if 0.5 * sol[k] >= best - FACE_PRUNE_SLACK:
-            return []
-        ns = null_space(a)
-        if ns.shape[1] == 0:
-            return []
-        # max gamma s.t. ti + N z >= gamma on the face coordinates
-        nz = ns[:k, :]
-        res = linprog(
-            c=np.concatenate([np.zeros(ns.shape[1]), [-1.0]]),
-            A_ub=np.hstack([-nz, np.ones((k, 1))]),
-            b_ub=ti,
-            bounds=[(None, None)] * ns.shape[1] + [(None, 1.0)],
-            method="highs",
-        )
-        if not res.success or -res.fun < -tol.zero_tol:
-            return []
-        ti = ti + nz @ res.x[:-1]
-    ti = np.clip(ti, 0.0, None)
-    s = ti.sum()
-    if s <= 0.0:
-        return []
-    ti /= s
-    t = np.zeros(x.shape[0])
-    t[idx] = ti
-    return [(float(t @ x @ t), t)]
+def principal_blocks(x: np.ndarray, size: int):
+    """Every support of the given size, in itertools order, as an (m, size)
+    index array, with the stacked principal submatrices X_I, (m, size, size)."""
+    supports = np.array(list(itertools.combinations(range(x.shape[0]), size)))
+    return supports, x[supports[:, :, None], supports[:, None, :]]
 
 
 def is_copositive(x: np.ndarray, tol: Tolerances = Tolerances()) -> CopVerdict:
@@ -150,11 +89,22 @@ def is_copositive(x: np.ndarray, tol: Tolerances = Tolerances()) -> CopVerdict:
     iff the minimum is >= -zero_tol.  A negative diagonal entry short
     circuits with a coordinate-vector witness.
 
-    The running minimum prunes the face LPs (see ``_face_minima``): a
-    skipped face has critical value >= minimum - FACE_PRUNE_SLACK, so
-    ``min_value`` is at most 1e-12 above the unpruned minimum, and
-    ``member`` can differ only when that minimum lies within 1e-12 below
-    -zero_tol, far inside the resolution of any zero_tol >= 1e-12.
+    On each face I the KKT system 2 X_I t = lam * 1, sum(t) = 1 is solved
+    by minimum-norm least squares (all faces of one size in one batched
+    SVD, with lstsq's cutoff eps * (k + 1) * sigma_max); a consistent
+    solution that is nonnegative within zero_tol is a candidate of value
+    t'Xt.  A rank-deficient face whose least-squares solution is not
+    nonnegative needs no search of its KKT solution set: lam/2 = t'X_I t
+    is the same at every KKT point, and a feasible one can be moved along
+    the kernel to a vertex of the feasible polytope, which lies on a
+    smaller face.  Repeating the step ends on a face whose KKT system has
+    a single, strictly positive solution, which that face's least-squares
+    solve already records with the same value, so no feasibility LP on
+    the larger face could lower the minimum.
+
+    ``argmin`` is the first minimizer in support order (by size, then
+    lexicographic).  When minimizers tie, rounding can decide which one
+    is reported; ``min_value`` is unaffected.
     """
     x = symmetrize(x)
     p = x.shape[0]
@@ -165,24 +115,47 @@ def is_copositive(x: np.ndarray, tol: Tolerances = Tolerances()) -> CopVerdict:
         )
     diag = np.diag(x)
     k = int(np.argmin(diag))
-    if diag[k] < -tol.zero_tol:
-        t = np.zeros(p)
-        t[k] = 1.0
-        return CopVerdict(member=False, min_value=float(diag[k]), argmin=t,
-                          witness=t, supports_checked=0)
+    best_val = float(diag[k])
+    best_t = np.zeros(p)
+    best_t[k] = 1.0
+    if best_val < -tol.zero_tol:
+        return CopVerdict(member=False, min_value=best_val, argmin=best_t,
+                          witness=best_t, supports_checked=0)
 
-    best_val = np.inf
-    best_t = None
-    checked = 0
-    for size in range(1, p + 1):
-        for support in itertools.combinations(range(p), size):
-            checked += 1
-            for val, t in _face_minima(x, support, tol, best_val):
-                if val < best_val:
-                    best_val, best_t = val, t
+    checked = p  # the size-1 faces are the diagonal
+    for size in range(2, p + 1):
+        supports, xi = principal_blocks(x, size)
+        checked += len(supports)
+        a = np.zeros((len(supports), size + 1, size + 1))
+        a[:, :size, :size] = 2.0 * xi
+        a[:, :size, size] = -1.0
+        a[:, size, :size] = 1.0
+        u, sig, vt = np.linalg.svd(a)
+        cutoff = np.finfo(float).eps * (size + 1) * sig[:, :1]
+        # b = e_last, so U'b is the last row of U
+        coef = np.divide(u[:, size, :], sig, out=np.zeros_like(sig),
+                         where=sig > cutoff)
+        sol = np.einsum("mij,mi->mj", vt, coef)
+        resid = np.einsum("mij,mj->mi", a, sol)
+        resid[:, size] -= 1.0
+        ti = sol[:, :size]
+        ok = ((np.max(np.abs(resid), axis=1) <= 1e-8)
+              & (np.min(ti, axis=1) >= -tol.zero_tol))
+        ti = np.clip(ti, 0.0, None)
+        s = ti.sum(axis=1)
+        ok &= s > 0.0
+        if not ok.any():
+            continue
+        ti = ti[ok] / s[ok, None]
+        vals = np.einsum("mi,mij,mj->m", ti, xi[ok], ti)
+        m = int(np.argmin(vals))
+        if vals[m] < best_val:
+            best_val = float(vals[m])
+            best_t = np.zeros(p)
+            best_t[supports[ok][m]] = ti[m]
     member = best_val >= -tol.zero_tol
     witness = None if member else best_t
-    return CopVerdict(member=member, min_value=float(best_val), argmin=best_t,
+    return CopVerdict(member=member, min_value=best_val, argmin=best_t,
                       witness=witness, supports_checked=checked)
 
 

@@ -15,7 +15,7 @@ import numpy as np
 from scipy.optimize import nnls
 
 from .cones import cp_membership, doubly_nonnegative, is_copositive
-from .complement import FAIL, DualDecomposition, _subset_generators, embed, restrict
+from .complement import FAIL, DualDecomposition, _subset_columns, embed, restrict
 from .symcore import (
     PSD_INTERIOR,
     Tolerances,
@@ -213,14 +213,13 @@ def solve_local(sys: DefiningSystem, x_perturbed: np.ndarray,
 
 def _group_over_anchor(u: np.ndarray, zs: ZeroStructure, sys: DefiningSystem):
     """NNLS of U over the anchor's block generators, grouped into W(s, eps)."""
-    gens = _subset_generators(zs)
-    if not gens:
+    if not zs.blocks:
         return [], float(np.linalg.norm(u))
-    a = np.column_stack([np.outer(g, g).ravel() for _, _, g in gens])
+    labels, gens, a = _subset_columns(zs.vertices, zs.blocks)
     wts, _ = nnls(a, u.ravel())
     fit_residual = float(np.linalg.norm(a @ wts - u.ravel()))
     comps = [np.zeros((sys.p, sys.p)) for _ in zs.blocks]
-    for wt, (s, _, g) in zip(wts, gens):
+    for wt, (s, _), g in zip(wts, labels, gens):
         comps[s] += wt * np.outer(g, g)
     ws = [restrict(c, ps) for c, ps in zip(comps, sys.supports)]
     return ws, fit_residual

@@ -7,13 +7,12 @@ supports, and per-block basis subsets.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import linprog
 
-from .cones import CopVerdict, is_copositive
+from .cones import CopVerdict, is_copositive, principal_blocks
 from .symcore import Tolerances, rank_of_vectors, symmetrize
 
 
@@ -77,7 +76,7 @@ def _is_zero_with_kkt(x: np.ndarray, t: np.ndarray, tol: Tolerances) -> bool:
     return bool(np.min(x @ t) >= -tol.zero_tol)
 
 
-def _in_convex_hull(t: np.ndarray, others: list[np.ndarray], tol: float = 1e-9) -> bool:
+def _in_convex_hull(t: np.ndarray, others: list[np.ndarray]) -> bool:
     if not others:
         return False
     a_eq = np.vstack([np.column_stack(others), np.ones(len(others))])
@@ -99,6 +98,7 @@ def enumerate_zero_vertices(x: np.ndarray, tol: Tolerances = Tolerances(),
     For each support I the zeros with full support I lie in the kernel of
     the principal submatrix X_I; a vertex with that exact support exists
     iff the kernel is one-dimensional with a strictly positive generator.
+    All supports of one size share one stacked ``eigh`` call.
     Candidates are deduplicated and filtered to convex-hull vertices.
 
     ``verdict`` is ``is_copositive(x, tol)`` when the caller already holds
@@ -115,21 +115,18 @@ def enumerate_zero_vertices(x: np.ndarray, tol: Tolerances = Tolerances(),
     p = x.shape[0]
     candidates: list[np.ndarray] = []
     for size in range(1, p + 1):
-        for support in itertools.combinations(range(p), size):
-            idx = np.asarray(support)
-            xi = x[np.ix_(idx, idx)]
-            lam, vecs = np.linalg.eigh(xi)
-            scale = max(1.0, float(np.max(np.abs(lam))))
-            null_cols = np.nonzero(np.abs(lam) <= tol.psd_tol * scale)[0]
-            if len(null_cols) != 1:
-                continue
-            v = vecs[:, null_cols[0]]
+        supports, xi = principal_blocks(x, size)
+        lam, vecs = np.linalg.eigh(xi)
+        scale = np.maximum(1.0, np.max(np.abs(lam), axis=1, keepdims=True))
+        null = np.abs(lam) <= tol.psd_tol * scale
+        for m in np.nonzero(np.count_nonzero(null, axis=1) == 1)[0]:
+            v = vecs[m][:, np.argmax(null[m])]
             if v.sum() < 0:
                 v = -v
             if np.min(v) <= tol.zero_tol:
                 continue  # kernel vector not strictly positive on the support
             t = np.zeros(p)
-            t[idx] = v / v.sum()
+            t[supports[m]] = v / v.sum()
             if not _is_zero_with_kkt(x, t, max_tol(tol)):
                 continue
             if all(np.linalg.norm(t - c, ord=np.inf) > tol.zero_tol for c in candidates):

