@@ -143,7 +143,7 @@ def _subset_columns(vectors, groups):
     outers can produce.
     """
     vectors = np.asarray(vectors, dtype=float)
-    labels, sums = [], []
+    labels, sums = [], [np.zeros((0, vectors.shape[1]))]
     for s, members in enumerate(groups):
         members = sorted(members)
         for r in range(1, len(members) + 1):
@@ -160,6 +160,39 @@ def _subset_columns(vectors, groups):
     return labels, gens, cols
 
 
+def face_nnls(vectors, groups, target):
+    """NNLS of ``target`` over the subset-sum generators of each group
+    (:func:`_subset_columns`), restricted to the face of the target.
+
+    Generators are nonnegative, so a g g' positive where the target is
+    exactly 0.0 cannot carry weight in an exact fit: it gets weight 0 and
+    stays out of the NNLS, whose kept columns keep their order.  A vector
+    whose own outer product meets such a zero leaves its group before the
+    subsets are built.  No tolerance is involved, so the rule commutes
+    with index permutation and with positive or scalar scaling.  Returns
+    per group the sum w g g' and the positive weights {combo: w}, and the
+    residual ||fit - target||_F.
+    """
+    target = np.asarray(target, dtype=float)
+    vectors = np.asarray(vectors, dtype=float).reshape(-1, len(target))
+    zero, pos = target == 0.0, vectors > 0.0
+    groups = [[j for j in sorted(g) if not zero[np.ix_(pos[j], pos[j])].any()]
+              for g in groups]
+    labels, gens, cols = _subset_columns(vectors, groups)
+    keep = ~np.any(cols[zero.ravel()] > 0.0, axis=0)
+    weights = np.zeros(len(labels))
+    if keep.any():
+        weights[keep], _ = nnls(np.ascontiguousarray(cols[:, keep]), target.ravel())
+    components = [np.zeros(target.shape) for _ in groups]
+    coefficients = [dict() for _ in groups]
+    for weight, (s, combo), g in zip(weights, labels, gens):
+        if weight == 0.0:
+            continue  # NNLS leaves most subset weights at exactly zero
+        components[s] += weight * np.outer(g, g)
+        coefficients[s][combo] = float(weight)
+    return components, coefficients, float(np.linalg.norm(cols @ weights - target.ravel()))
+
+
 def _basis_pair_rank(zs: ZeroStructure, tol: Tolerances) -> tuple[int, int]:
     """Rank and size of the basis-pair family {(tau(i)+tau(j))(tau(i)+tau(j))'
     : i <= j in J_b(s)}, whose independence is Assumption jj."""
@@ -173,34 +206,26 @@ def _basis_pair_rank(zs: ZeroStructure, tol: Tolerances) -> tuple[int, int]:
 
 def decompose_dual(u: np.ndarray, zs: ZeroStructure, tol: Tolerances = Tolerances()) -> DualDecomposition:
     """Nonnegative least squares of U over the pooled subset-sum
-    generators, grouped by block into the components U0(s).
-
-    Uniqueness of the grouping follows from independence of the basis-pair
-    generators, so the decomposition carries the rank of that family,
-    which Assumption jj reports as well."""
+    generators on the face of U (:func:`face_nnls`: a generator with
+    g g' > 0 where U is exactly 0 gets weight 0), grouped by block into
+    the components U0(s).  Uniqueness of the grouping follows from
+    independence of the basis-pair generators, so the decomposition
+    carries the rank of that family, which Assumption jj reports as well;
+    without it the components are one representative, which can depend
+    on the index order."""
     u = symmetrize(u)
-    p = zs.p
     if abs(float(np.tensordot(zs.x, u))) > 10 * tol.zero_tol:
         raise ComplementError("X . U exceeds tolerance; pair is not complementary")
     if not zs.blocks:
         if np.linalg.norm(u) > tol.zero_tol:
             raise ComplementError("empty zero set admits only U = 0")
         return DualDecomposition([], [], [], 0.0, 0, 0)
-    labels, gens, a = _subset_columns(zs.vertices, zs.blocks)
-    w, _ = nnls(a, u.ravel())
-    residual = float(np.linalg.norm(a @ w - u.ravel()))
+    components, coefficients, residual = face_nnls(zs.vertices, zs.blocks, u)
     if residual > 10 * tol.zero_tol:
         raise ComplementError(
             f"U is not representable over the zero-set generators "
             f"(residual {residual:.3e}); not complementary to X in CP"
         )
-    components = [np.zeros((p, p)) for _ in zs.blocks]
-    coefficients = [dict() for _ in zs.blocks]
-    for weight, (s, combo), g in zip(w, labels, gens):
-        if weight == 0.0:
-            continue  # NNLS leaves most subset weights at exactly zero
-        components[s] += weight * np.outer(g, g)
-        coefficients[s][combo] = float(weight)
     restricted = [restrict(components[s], zs.supports[s]) for s in range(len(zs.blocks))]
     return DualDecomposition(components, restricted, coefficients, residual,
                              *_basis_pair_rank(zs, tol))
@@ -315,15 +340,15 @@ def positive_factorization(w: np.ndarray, taus_restricted: list,
     lam = np.linalg.eigvalsh(w)
     if lam.size and lam[0] < -tol.psd_tol:
         raise ValueError("W must be PSD for positive factorization")
-    _, gens, cols = _subset_columns(taus_restricted,
-                                    [range(len(taus_restricted))])
-    alpha, _ = nnls(cols, w.ravel())
-    if np.linalg.norm(cols @ alpha - w.ravel()) > 10 * tol.zero_tol:
+    taus = np.asarray(taus_restricted, dtype=float)
+    _, [alpha], residual = face_nnls(taus, [range(len(taus))], w)
+    if residual > 10 * tol.zero_tol:
         return None
     # drop numerically-inactive generators; the product check below bounds
     # the total truncation error
-    cutoff = tol.zero_tol * max(1.0, float(np.max(alpha)))
-    bst = [np.sqrt(a) * g for a, g in zip(alpha, gens) if a > cutoff]
+    cutoff = tol.zero_tol * max(1.0, max(alpha.values(), default=0.0))
+    bst = [np.sqrt(a) * np.sum(taus[list(combo)], axis=0)
+           for combo, a in alpha.items() if a > cutoff]
     if not bst:
         return None if np.linalg.norm(w) > tol.zero_tol else np.zeros((w.shape[0], 0))
     t_hat = np.sum(bst, axis=0)
@@ -366,7 +391,7 @@ def check_conditions(zs: ZeroStructure, dd: DualDecomposition,
             factor_info.append({"block": s + 1, "factor": None})
         else:
             factor_info.append({"block": s + 1, "factor": m,
-                                "min_entry": float(np.min(m))})
+                                "min_entry": float(np.min(m)) if m.size else None})
     cond_ii = Verdict(status_ii, {"blocks": factor_info})
 
     status_iii = PASS

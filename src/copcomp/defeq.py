@@ -12,10 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import nnls
 
 from .cones import cp_membership, doubly_nonnegative, is_copositive
-from .complement import FAIL, DualDecomposition, _subset_columns, embed, restrict
+from .complement import FAIL, DualDecomposition, embed, face_nnls, restrict
 from .symcore import (
     PSD_INTERIOR,
     Tolerances,
@@ -211,27 +210,14 @@ def solve_local(sys: DefiningSystem, x_perturbed: np.ndarray,
     return NO_CONVERGENCE, float(np.linalg.norm(r, ord=np.inf))
 
 
-def _group_over_anchor(u: np.ndarray, zs: ZeroStructure, sys: DefiningSystem):
-    """NNLS of U over the anchor's block generators, grouped into W(s, eps)."""
-    if not zs.blocks:
-        return [], float(np.linalg.norm(u))
-    labels, gens, a = _subset_columns(zs.vertices, zs.blocks)
-    wts, _ = nnls(a, u.ravel())
-    fit_residual = float(np.linalg.norm(a @ wts - u.ravel()))
-    comps = [np.zeros((sys.p, sys.p)) for _ in zs.blocks]
-    for wt, (s, _), g in zip(wts, labels, gens):
-        comps[s] += wt * np.outer(g, g)
-    ws = [restrict(c, ps) for c, ps in zip(comps, sys.supports)]
-    return ws, fit_residual
-
-
 def verify_forward(x_path: list, u_path: list, zs: ZeroStructure,
                    dd: DualDecomposition, tol: Tolerances = Tolerances()) -> list[dict]:
     """Check the forward conclusions along a complementary path.
 
-    Per path point: decompose U(eps) over the anchor block generators,
-    form W(s, eps), and test the anticommutator equations and the linear
-    reconstruction.  Reports one record per point.
+    Per path point: group U(eps) over the anchor block generators as
+    :func:`decompose_dual` does, form W(s, eps), and test the
+    anticommutator equations and the linear reconstruction.  Reports one
+    record per point.
     """
     sys = build_system(zs, dd)
     reports = []
@@ -242,7 +228,8 @@ def verify_forward(x_path: list, u_path: list, zs: ZeroStructure,
         if comp > 10 * tol.zero_tol:
             raise ValueError(
                 f"path point {k} is not complementary (X . U = {comp:.3e})")
-        ws, fit_residual = _group_over_anchor(u_eps, zs, sys)
+        comps, _, fit_residual = face_nnls(zs.vertices, zs.blocks, u_eps)
+        ws = [restrict(c, ps) for c, ps in zip(comps, sys.supports)]
         z = sys.pack(x_eps, ws)
         r = residual(sys, z)
         anti = float(np.linalg.norm(r, ord=np.inf)) if r.size else 0.0

@@ -8,6 +8,7 @@ convention scales off-diagonal entries by sqrt(2) so that
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 
@@ -79,14 +80,22 @@ def svec_dim(p: int) -> int:
     return p * (p + 1) // 2
 
 
+@functools.lru_cache(maxsize=32)
+def _svec_index(p: int):
+    """Index arrays (k, l) of :func:`svec_pairs` and the sqrt(2) scale,
+    shared by every caller and therefore read-only."""
+    k, l = np.triu_indices(p)
+    idx = (k, l, np.where(k == l, 1.0, SQRT2))
+    for a in idx:
+        a.setflags(write=False)
+    return idx
+
+
 def svec(f: np.ndarray) -> np.ndarray:
     """Vectorize a symmetric matrix with sqrt(2)-scaled off-diagonals."""
     f = np.asarray(f, dtype=float)
-    p = f.shape[0]
-    out = np.empty(svec_dim(p))
-    for idx, (k, l) in enumerate(svec_pairs(p)):
-        out[idx] = f[l, k] if k == l else SQRT2 * f[l, k]
-    return out
+    k, l, scale = _svec_index(f.shape[0])
+    return f[l, k] * scale
 
 
 def smat(v: np.ndarray, p: int) -> np.ndarray:
@@ -95,12 +104,9 @@ def smat(v: np.ndarray, p: int) -> np.ndarray:
     n = svec_dim(p)
     if v.shape != (n,):
         raise SymMatError(f"svec length {v.shape} does not match p={p} (need {n})")
+    k, l, scale = _svec_index(p)
     f = np.zeros((p, p))
-    for idx, (k, l) in enumerate(svec_pairs(p)):
-        if k == l:
-            f[k, k] = v[idx]
-        else:
-            f[l, k] = f[k, l] = v[idx] / SQRT2
+    f[l, k] = f[k, l] = v / scale
     return f
 
 

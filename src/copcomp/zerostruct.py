@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .cones import CopVerdict, is_copositive, principal_blocks
 from .symcore import Tolerances, rank_of_vectors, symmetrize
@@ -76,21 +75,6 @@ def _is_zero_with_kkt(x: np.ndarray, t: np.ndarray, tol: Tolerances) -> bool:
     return bool(np.min(x @ t) >= -tol.zero_tol)
 
 
-def _in_convex_hull(t: np.ndarray, others: list[np.ndarray]) -> bool:
-    if not others:
-        return False
-    a_eq = np.vstack([np.column_stack(others), np.ones(len(others))])
-    b_eq = np.concatenate([t, [1.0]])
-    res = linprog(
-        c=np.zeros(len(others)),
-        A_eq=a_eq,
-        b_eq=b_eq,
-        bounds=[(0.0, None)] * len(others),
-        method="highs",
-    )
-    return bool(res.success)
-
-
 def enumerate_zero_vertices(x: np.ndarray, tol: Tolerances = Tolerances(),
                             verdict: CopVerdict | None = None) -> list[np.ndarray]:
     """Vertices of conv T_a(X) for a copositive X.
@@ -99,7 +83,11 @@ def enumerate_zero_vertices(x: np.ndarray, tol: Tolerances = Tolerances(),
     the principal submatrix X_I; a vertex with that exact support exists
     iff the kernel is one-dimensional with a strictly positive generator.
     All supports of one size share one stacked ``eigh`` call.
-    Candidates are deduplicated and filtered to convex-hull vertices.
+
+    Every candidate is a vertex, so no hull test is needed: if
+    t = sum lam_j t_j (lam_j > 0, t_j zeros of X), then supp(t_j) is in I,
+    X t_j >= 0 (KKT at a zero) and (X t)_I = 0 give (X t_j)_I = 0, so
+    (t_j)_I lies in ker X_I = span(v) and t_j = t on the simplex.
 
     ``verdict`` is ``is_copositive(x, tol)`` when the caller already holds
     it; it is computed here when absent.
@@ -131,14 +119,8 @@ def enumerate_zero_vertices(x: np.ndarray, tol: Tolerances = Tolerances(),
                 continue
             if all(np.linalg.norm(t - c, ord=np.inf) > tol.zero_tol for c in candidates):
                 candidates.append(t)
-    # keep only vertices of the convex hull of the union
-    vertices = []
-    for i, t in enumerate(candidates):
-        others = [c for j, c in enumerate(candidates) if j != i]
-        if not _in_convex_hull(t, others):
-            vertices.append(t)
-    vertices.sort(key=lambda v: tuple(np.round(v, 12)))
-    return vertices
+    candidates.sort(key=lambda v: tuple(np.round(v, 12)))
+    return candidates
 
 
 def max_tol(tol: Tolerances) -> Tolerances:

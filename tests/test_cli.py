@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import copcomp.cli as cli
+import copcomp.complement as complement
 import copcomp.cones as cones
 import copcomp.zerostruct as zerostruct
 from copcomp.cli import SCHEMA, main
@@ -217,3 +218,101 @@ def test_analyze_coefficients_positive_and_rebuild_components(
             g = vertices[[int(j) - 1 for j in combo.split("+")]].sum(axis=0)
             rebuilt += w * np.outer(g, g)
         assert np.max(np.abs(rebuilt - np.asarray(comp))) <= 1e-12
+
+
+def test_analyze_fits_the_face_of_u_without_hull_lps(tmp_path, capsys,
+                                                     monkeypatch):
+    # H(theta*) + 0_7: the seven e_k vertices of X sit on zero diagonal
+    # entries of U, so each NNLS sees the 2^5 - 1 subsets of H's vertices
+    columns = []
+
+    def counting(a, b, **kwargs):
+        columns.append(a.shape[1])
+        return nnls(a, b, **kwargs)
+
+    nnls = complement.nnls
+    monkeypatch.setattr(complement, "nnls", counting)
+    x, u = _padded_hildebrand(12)
+    rc = main(["analyze", _write(tmp_path, "x.json", x),
+               _write(tmp_path, "u.json", u), "--json"])
+    report = json.loads(capsys.readouterr().out)
+    assert rc == 1 and report["verdict"] == "RANK_DEFICIENT"
+    assert len(report["zero_structure"]["vertices"]) == 12
+    assert columns and max(columns) <= 31
+    assert not hasattr(zerostruct, "linprog")
+
+
+def _close_report(got, want, where=""):
+    if isinstance(want, dict):
+        assert set(got) == set(want), where
+        for k in want:
+            _close_report(got[k], want[k], f"{where}.{k}")
+    elif isinstance(want, list):
+        assert len(got) == len(want), where
+        for i, (g, w) in enumerate(zip(got, want)):
+            _close_report(g, w, f"{where}[{i}]")
+    elif isinstance(want, float):
+        assert abs(got - want) <= 1e-12, (where, got, want)
+    else:
+        assert got == want and type(got) is type(want), (where, got, want)
+
+
+def test_analyze_zero_block_component_report(tmp_path, capsys):
+    # U = b b' on the s4 X: block (1) of the two-block structure gets the
+    # zero component, whose positive factor is the empty p x 0 matrix
+    data = build_s4()
+    x, u = data["x"], np.outer(data["b"], data["b"])
+    rc = main(["analyze", _write(tmp_path, "x.json", x),
+               _write(tmp_path, "u.json", u), "--json"])
+    out, err = capsys.readouterr()
+    assert rc == 1 and err == ""
+    report = json.loads(out)
+    assert report["digest"] == cli._digest(x, u)
+    zero3 = [[0.0] * 3] * 3
+    r2 = np.sqrt(2.0)
+    _close_report({k: v for k, v in report.items() if k != "digest"}, {
+        "schema": SCHEMA, "version": "1.0.0",
+        "tolerances": {"zero_tol": 1e-9, "rank_tol": 1e-9, "psd_tol": 1e-9},
+        "inputs": {"x": symmat_to_json(x), "u": symmat_to_json(u)},
+        "copositive": {"member": True, "min_value": 0.0,
+                       "argmin": [0.5, 0.5, 0.0], "supports_checked": 7},
+        "zero_structure": {
+            "p": 3, "vertices": [[0.0, 0.5, 0.5], [0.5, 0.5, 0.0]],
+            "contact_sets": [[2, 3], [1, 2]], "blocks": [[1], [2]],
+            "supports": [[2, 3], [1, 2]], "basis": [[1], [2]],
+            "overlapping_blocks": False},
+        "decomposition": {
+            "components": [zero3, [[1.0, 1.0, 0.0], [1.0, 1.0, 0.0],
+                                   [0.0, 0.0, 0.0]]],
+            "restricted": [[[0.0, 0.0], [0.0, 0.0]], [[1.0, 1.0], [1.0, 1.0]]],
+            "coefficients": [{}, {"2": 4.0}], "residual": 0.0,
+            "unique": True},
+        "assumptions": {
+            "j": {"status": "FAIL", "certificate": {
+                "blocks": [{"block": 1, "gamma": 1e-9, "range_ok": False,
+                            "rank_w": 0, "rank_tau": 1},
+                           {"block": 2, "gamma": 1.000000001,
+                            "range_ok": True, "rank_w": 1, "rank_tau": 1}],
+                "delta_strict": 1e-6}},
+            "jj": {"status": "PASS",
+                   "certificate": {"rank": 2, "expected": 2}},
+            "jjj": {"status": "PASS", "certificate": {"offending": []}},
+            "cond_i": {"status": "PASS", "certificate": {"unique": True}},
+            "cond_ii": {"status": "PASS", "certificate": {"blocks": [
+                {"block": 1, "factor": [[], []], "min_entry": None},
+                {"block": 2, "factor": [[1.0], [1.0]], "min_entry": 1.0}]}},
+            "cond_iii": {"status": "FAIL", "certificate": {"blocks": [
+                {"block": 1, "x": ["PSD_BOUNDARY", 0.0],
+                 "w": ["PSD_BOUNDARY", 0.0], "sum": ["PSD_BOUNDARY", 0.0]},
+                {"block": 2, "x": ["PSD_BOUNDARY", 0.0],
+                 "w": ["PSD_BOUNDARY", 0.0], "sum": ["PSD_INTERIOR", 2.0]}]}},
+        },
+        "system": {"p": 3, "supports": [[2, 3], [1, 2]], "p_star": 6,
+                   "block_dims": [3, 3], "m": 6,
+                   "anchor": [1.0, -r2, 2 * r2, 1.0, -r2, 1.0,
+                              0.0, 0.0, 0.0, 1.0, r2, 1.0]},
+        "rank_certificate": {"m_expected": 6, "rank_computed": 5,
+                             "sigma_min_kept": 2.0, "sigma_max_dropped": 0.0,
+                             "sigma_ratio": 0.0, "full_rank": False},
+        "verdict": "RANK_DEFICIENT",
+    })

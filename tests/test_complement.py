@@ -12,15 +12,19 @@ from copcomp.complement import (
     check_assumptions,
     decompose_dual,
     embed,
+    face_nnls,
     positive_factorization,
     restrict,
 )
 from copcomp.paperlab import (
+    SCENARIOS,
     build_extremal5,
     build_pp3z_jjj,
     build_pp4z_j,
     build_s4,
 )
+from scipy.optimize import nnls
+
 from copcomp.symcore import Tolerances
 from copcomp.zerostruct import compute_zero_structure
 
@@ -261,3 +265,99 @@ def test_derived_conditions_follow_from_j_and_jj():
             assert rep.cond_i.status == PASS
             assert rep.cond_ii.status == PASS
             assert rep.cond_iii.status == PASS
+
+
+def _face_cases():
+    """Complementary pairs: the scenario pairs and H(theta*) + 0_k,
+    unpermuted and permuted."""
+    rng = np.random.default_rng(20240825)
+    cases = [(data["x"], data["u"])
+             for data in (SCENARIOS[n].build() for n in SCENARIOS)]
+    data = build_extremal5()
+    for p in (6, 8, 10):
+        x, u = np.zeros((p, p)), np.zeros((p, p))
+        x[:5, :5], u[:5, :5] = data["x"], data["u"]
+        perm = rng.permutation(p)
+        cases += [(x, u), (x[np.ix_(perm, perm)], u[np.ix_(perm, perm)])]
+    return cases
+
+
+def test_face_nnls_prunes_to_zero_and_matches_full_nnls():
+    compared = 0
+    for x, u in _face_cases():
+        zs = compute_zero_structure(x, TOL)
+        components, coefficients, residual = face_nnls(zs.vertices, zs.blocks, u)
+        labels, gens, cols = _subset_columns(zs.vertices, zs.blocks)
+        # a column positive where U is exactly zero gets weight exactly 0
+        pruned = np.any(cols[(u == 0.0).ravel()] > 0.0, axis=0)
+        for (s, combo), cut in zip(labels, pruned):
+            if cut:
+                assert combo not in coefficients[s]
+        assert all(w > 0.0 for c in coefficients for w in c.values())
+        if not decompose_dual(u, zs, TOL).unique:
+            continue
+        w, _ = nnls(cols, u.ravel())
+        full = [np.zeros_like(u) for _ in zs.blocks]
+        for wt, (s, _), g in zip(w, labels, gens):
+            full[s] += wt * np.outer(g, g)
+        for c, f in zip(components, full):
+            assert np.max(np.abs(c - f)) <= 1e-12
+        assert abs(residual - np.linalg.norm(cols @ w - u.ravel())) <= 1e-12
+        compared += 1
+    assert compared >= 10
+
+
+def test_face_nnls_drops_vertices_on_zero_diagonal():
+    # H(theta*) + 0_7: the seven e_k vertices sit where diag(U) is 0, so
+    # only the 31 subsets of the five H vertices are fitted
+    data = build_extremal5()
+    x, u = np.zeros((12, 12)), np.zeros((12, 12))
+    x[:5, :5], u[:5, :5] = data["x"], data["u"]
+    zs = compute_zero_structure(x, TOL)
+    assert len(zs.blocks) == 1 and len(zs.blocks[0]) == 12
+    components, coefficients, residual = face_nnls(zs.vertices, zs.blocks, u)
+    assert residual <= 1e-12
+    used = set().union(*coefficients[0])
+    assert all(np.all(zs.vertices[j][5:] == 0.0) for j in used)
+    assert np.max(np.abs(components[0] - u)) <= 1e-12
+
+
+def test_face_nnls_of_zero_target_is_empty():
+    taus = [np.array([1.0, 0.0]), np.array([0.5, 0.5])]
+    components, coefficients, residual = face_nnls(taus, [(0, 1)],
+                                                   np.zeros((2, 2)))
+    assert coefficients == [{}] and residual == 0.0
+    assert np.array_equal(components[0], np.zeros((2, 2)))
+    assert positive_factorization(np.zeros((2, 2)), taus, TOL).shape == (2, 0)
+
+
+def test_pairs_with_a_zero_block_component_do_not_raise():
+    # U = sum over blocks of c g g' for random vertex-subset sums g, with
+    # some blocks left at zero; an empty positive factor reports no entry
+    from copcomp.defeq import build_system, rank_certificate
+
+    rng = np.random.default_rng(1234)
+    zero_blocks = 0
+    for name in ("s4", "hildebrand", "pp3z-jjj", "pp4z-j", "pp4z-jjj",
+                 "pp4z-cond-ii"):
+        x = SCENARIOS[name].build()["x"]
+        zs = compute_zero_structure(x, TOL)
+        for _ in range(10):
+            u = np.zeros_like(x)
+            for block in zs.blocks:
+                if rng.random() < 0.4:
+                    continue
+                for _ in range(int(rng.integers(1, 3))):
+                    sub = [j for j in block if rng.random() < 0.6] or [block[0]]
+                    g = np.sum([zs.vertices[j] for j in sub], axis=0)
+                    u += rng.uniform(0.5, 2.0) * np.outer(g, g)
+            dd = decompose_dual(u, zs, TOL)
+            rep = check_assumptions(x, u, zs, dd, TOL)
+            system = build_system(zs, dd)
+            rank_certificate(system, system.anchor, TOL)
+            for info in rep.cond_ii.certificate["blocks"]:
+                m = info["factor"]
+                if m is not None and m.size == 0:
+                    zero_blocks += 1
+                    assert info["min_entry"] is None
+    assert zero_blocks >= 10

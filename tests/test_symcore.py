@@ -65,6 +65,48 @@ def test_svec_smat_roundtrip():
         assert np.allclose(smat(v, p), f, atol=1e-14)
 
 
+def _svec_loop(f):
+    out = np.empty(svec_dim(f.shape[0]))
+    for idx, (k, l) in enumerate(svec_pairs(f.shape[0])):
+        out[idx] = f[l, k] if k == l else np.sqrt(2.0) * f[l, k]
+    return out
+
+
+def _smat_loop(v, p):
+    f = np.zeros((p, p))
+    for idx, (k, l) in enumerate(svec_pairs(p)):
+        if k == l:
+            f[k, k] = v[idx]
+        else:
+            f[l, k] = f[k, l] = v[idx] / np.sqrt(2.0)
+    return f
+
+
+def _sym_kron_loop(m, n):
+    p = m.shape[0]
+    out = np.empty((svec_dim(p), svec_dim(p)))
+    for idx, (k, l) in enumerate(svec_pairs(p)):
+        u = np.zeros((p, p))
+        u[k, l] = u[l, k] = 1.0 if k == l else 1.0 / np.sqrt(2.0)
+        out[:, idx] = _svec_loop(0.5 * (n @ u @ m.T + m @ u @ n.T))
+    return out
+
+
+def test_svec_smat_sym_kron_match_the_pair_loop_bit_for_bit():
+    # reference: one svec_pairs entry at a time; svec reads the lower
+    # triangle, so an unsymmetric input must give the same bits too
+    rng = np.random.default_rng(20240823)
+    for p in range(1, 13):
+        for _ in range(10):
+            a = rng.standard_normal((p, p))
+            for f in (a, a + a.T):
+                assert np.array_equal(svec(f), _svec_loop(f))
+            v = rng.standard_normal(svec_dim(p))
+            assert np.array_equal(smat(v, p), _smat_loop(v, p))
+        m, n = random_sym(p, rng), random_sym(p, rng)
+        assert np.array_equal(sym_kron(m, n), _sym_kron_loop(m, n))
+
+
 def test_svec_is_isometric():
     for p in (2, 3, 4):
         a, b = random_sym(p), random_sym(p)

@@ -3,7 +3,16 @@ import pytest
 from scipy.optimize import linprog
 
 from copcomp.cones import is_copositive
-from copcomp.paperlab import THETA_STAR, build_extremal5, build_s4
+from copcomp.paperlab import (
+    THETA_STAR,
+    build_extremal5,
+    build_pp3z_jjj,
+    build_pp4z_cond_ii,
+    build_pp4z_j,
+    build_pp4z_jjj,
+    build_s4,
+    extremal5_matrix,
+)
 from copcomp.symcore import Tolerances
 from copcomp.zerostruct import (
     ZeroStructureError,
@@ -249,3 +258,68 @@ def test_sweeps_are_permutation_equivariant(name, seed):
     for b, t in zip(back, expected):
         assert support_of(b, TOL) == support_of(t, TOL)
         assert np.max(np.abs(b - t)) <= 1e-12
+
+
+def _hull_lp_feasible(t, others):
+    """t in conv(others), by an equality-constrained feasibility LP."""
+    a_eq = np.vstack([np.column_stack(others), np.ones(len(others))])
+    res = linprog(np.zeros(len(others)), A_eq=a_eq,
+                  b_eq=np.concatenate([t, [1.0]]),
+                  bounds=[(0.0, None)] * len(others), method="highs")
+    return bool(res.success)
+
+
+def _psd_with_positive_kernel(rng, p):
+    """Low-rank PSD whose kernel holds a few sparse nonnegative vectors."""
+    kernel = []
+    for _ in range(int(rng.integers(1, 4))):
+        v = np.zeros(p)
+        support = rng.choice(p, size=int(rng.integers(1, p)), replace=False)
+        v[support] = rng.uniform(0.2, 1.0, support.size)
+        kernel.append(v)
+    q, _ = np.linalg.qr(np.column_stack(kernel))
+    b = rng.standard_normal((p, int(rng.integers(1, p))))
+    b -= q @ (q.T @ b)
+    return b @ b.T
+
+
+def _copositive_corpus():
+    """Seeded copositive matrices with zeros: low-rank PSD, PSD plus sparse
+    nonnegative, small-integer, random-theta Hildebrand padded and permuted,
+    and the six scenario X's."""
+    rng = np.random.default_rng(20240824)
+    out = [build()["x"] for build in (build_s4, build_extremal5,
+                                      build_pp3z_jjj, build_pp4z_j,
+                                      build_pp4z_jjj, build_pp4z_cond_ii)]
+    for _ in range(50):
+        out.append(_psd_with_positive_kernel(rng, int(rng.integers(3, 8))))
+    for _ in range(50):
+        x = _psd_with_positive_kernel(rng, int(rng.integers(3, 8)))
+        n = rng.uniform(0.0, 1.0, x.shape) * (rng.random(x.shape) < 0.2)
+        out.append(x + n + n.T)
+    while len(out) < 156:
+        a = rng.integers(-1, 3, (5, 5))
+        x = np.triu(a) + np.triu(a, 1).T
+        if is_copositive(x, TOL).member:
+            out.append(x.astype(float))
+    for _ in range(25):
+        theta = rng.dirichlet(np.ones(5)) * np.pi
+        p = int(rng.integers(5, 9))
+        x = _padded(extremal5_matrix(theta), p - 5)
+        perm = rng.permutation(p)
+        out.append(x[np.ix_(perm, perm)])
+    return out
+
+
+def test_zero_vertices_are_hull_vertices():
+    # independent oracle for the vertex argument in enumerate_zero_vertices:
+    # no returned vertex lies in the convex hull of the others
+    lps = 0
+    for x in _copositive_corpus():
+        vertices = enumerate_zero_vertices(x, TOL)
+        for i, t in enumerate(vertices):
+            others = vertices[:i] + vertices[i + 1:]
+            if others:
+                lps += 1
+                assert not _hull_lp_feasible(t, others)
+    assert lps >= 400
