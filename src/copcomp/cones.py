@@ -178,26 +178,15 @@ def simplex_min_oracle(x: np.ndarray, grid_depth: int) -> tuple[float, np.ndarra
         raise ValueError("grid_depth must be >= 1")
     x = symmetrize(x)
     p = x.shape[0]
+    # stars and bars: p - 1 bar positions among grid_depth + p - 1 slots;
+    # the gaps between consecutive bars are the grid point's counts
+    slots = grid_depth + p - 1
+    bars = itertools.combinations(range(slots), p - 1)
     best_val = np.inf
     best_t = None
-    batch = []
-    for comp in itertools.combinations(range(grid_depth + p - 1), p - 1):
-        prev = -1
-        t = np.empty(p)
-        bounds = comp + (grid_depth + p - 1,)
-        for i, c in enumerate(bounds):
-            t[i] = c - prev - 1
-            prev = c
-        batch.append(t / grid_depth)
-        if len(batch) == 4096:
-            tb = np.asarray(batch)
-            vals = np.einsum("ij,jk,ik->i", tb, x, tb)
-            i = int(np.argmin(vals))
-            if vals[i] < best_val:
-                best_val, best_t = float(vals[i]), tb[i]
-            batch = []
-    if batch:
-        tb = np.asarray(batch)
+    while chunk := list(itertools.islice(bars, 4096)):
+        pos = np.array(chunk, dtype=int)
+        tb = (np.diff(pos, axis=1, prepend=-1, append=slots) - 1) / grid_depth
         vals = np.einsum("ij,jk,ik->i", tb, x, tb)
         i = int(np.argmin(vals))
         if vals[i] < best_val:

@@ -117,9 +117,7 @@ class RankCertificate:
 def build_system(zs: ZeroStructure, dd: DualDecomposition) -> DefiningSystem:
     """Layout and anchor z0 from a zero structure and dual decomposition."""
     sys = DefiningSystem(p=zs.p, supports=list(zs.supports), anchor=np.zeros(0))
-    ws = list(dd.restricted) if dd is not None else [np.zeros((len(ps),) * 2)
-                                                    for ps in zs.supports]
-    sys.anchor = sys.pack(zs.x, ws)
+    sys.anchor = sys.pack(zs.x, dd.restricted)
     return sys
 
 

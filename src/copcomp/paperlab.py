@@ -7,6 +7,7 @@ evaluates every expectation and reports pass/fail records.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +41,18 @@ class Scenario:
 
 def _check(name: str, passed, detail: str = "") -> dict:
     return {"expectation": name, "passed": bool(passed), "detail": detail}
+
+
+def _statuses(rep, **expected) -> list[dict]:
+    """One check per verdict in keyword order: ``j=FAIL`` checks
+    "assumption j FAIL", ``cond_ii=PASS`` checks "condition ii PASS"."""
+    out = []
+    for name, want in expected.items():
+        label = (f"condition {name.removeprefix('cond_')}"
+                 if name.startswith("cond_") else f"assumption {name}")
+        got = getattr(rep, name).status
+        out.append(_check(f"{label} {want}", got == want, got))
+    return out
 
 
 def _match_vertex_sets(found, expected, atol: float) -> bool:
@@ -213,27 +226,6 @@ def extremal5_path(theta, eps):
     return extremal5_matrix(theta_eps), extremal5_dual(theta_eps)
 
 
-def _extremal5_structure_checks(data, tol: Tolerances) -> tuple[list, object]:
-    x, u, a, b = data["x"], data["u"], data["a"], data["b"]
-    zs, dd, rep, sys, cert = _pipeline(x, u, tol)
-    taus_norm = [t / np.sum(t) for t in data["taus"]]
-    out = [
-        _check("H == aa' + bb' (residual <= 1e-10)",
-               np.linalg.norm(x - np.outer(a, a) - np.outer(b, b)) <= 1e-10),
-        _check("complementarity H . U <= 1e-10",
-               abs(float(np.tensordot(x, u))) <= 1e-10),
-        _check("five vertices match normalized tau(j) to 1e-8",
-               _match_vertex_sets(zs.vertices, taus_norm, 1e-8),
-               f"found {len(zs.vertices)} vertices"),
-        _check("single block with support {1,...,5}",
-               len(zs.blocks) == 1 and _support_sets(zs) == {(1, 2, 3, 4, 5)}),
-        _check("assumption j FAIL", rep.j.status == FAIL, rep.j.status),
-        _check("assumption jj PASS", rep.jj.status == PASS, rep.jj.status),
-        _check("assumption jjj PASS", rep.jjj.status == PASS, rep.jjj.status),
-    ]
-    return out, (zs, dd, rep, sys, cert)
-
-
 def _extremal5_path_checks(data, tol: Tolerances) -> list[dict]:
     out = []
     for eps in EPS_PATH:
@@ -248,11 +240,23 @@ def _extremal5_path_checks(data, tol: Tolerances) -> list[dict]:
     return out
 
 
-def _extremal5_expectations(tol: Tolerances) -> list[dict]:
-    data = build_extremal5()
-    out, _ = _extremal5_structure_checks(data, tol)
-    out.extend(_extremal5_path_checks(data, tol))
-    return out
+def _extremal5_expectations(tol: Tolerances, theta=THETA_STAR) -> list[dict]:
+    data = build_extremal5(theta)
+    x, u, a, b = data["x"], data["u"], data["a"], data["b"]
+    zs, dd, rep, sys, cert = _pipeline(x, u, tol)
+    taus_norm = [t / np.sum(t) for t in data["taus"]]
+    return [
+        _check("H == aa' + bb' (residual <= 1e-10)",
+               np.linalg.norm(x - np.outer(a, a) - np.outer(b, b)) <= 1e-10),
+        _check("complementarity H . U <= 1e-10",
+               abs(float(np.tensordot(x, u))) <= 1e-10),
+        _check("five vertices match normalized tau(j) to 1e-8",
+               _match_vertex_sets(zs.vertices, taus_norm, 1e-8),
+               f"found {len(zs.vertices)} vertices"),
+        _check("single block with support {1,...,5}",
+               len(zs.blocks) == 1 and _support_sets(zs) == {(1, 2, 3, 4, 5)}),
+        *_statuses(rep, j=FAIL, jj=PASS, jjj=PASS),
+    ] + _extremal5_path_checks(data, tol)
 
 
 def _pp3z_j_expectations(tol: Tolerances) -> list[dict]:
@@ -306,9 +310,7 @@ def _pp3z_jjj_expectations(tol: Tolerances) -> list[dict]:
                _support_sets(zs) == {(1, 2)} and _contact_sets(zs) == {(1, 2, 3)},
                f"supports {sorted(_support_sets(zs))}, "
                f"contacts {sorted(_contact_sets(zs))}"),
-        _check("assumption j PASS", rep.j.status == PASS, rep.j.status),
-        _check("assumption jj PASS", rep.jj.status == PASS, rep.jj.status),
-        _check("assumption jjj FAIL", rep.jjj.status == FAIL, rep.jjj.status),
+        *_statuses(rep, j=PASS, jj=PASS, jjj=FAIL),
     ]
     for eps in EPS_GRID:
         x_eps, u_eps = pp3z_jjj_path(eps)
@@ -326,6 +328,23 @@ def _pp3z_jjj_expectations(tol: Tolerances) -> list[dict]:
 
 # ---------------------------------------------------------------------------
 # backward counterexample: strict complementarity fails (p = 4)
+
+
+def _backward_path_checks(path, block, tol: Tolerances) -> list[dict]:
+    """Along a backward counterexample path (eps -> (X(eps), W(eps))) the
+    block equation on ``block`` holds while X(eps) is not copositive."""
+    out = []
+    for eps in EPS_GRID:
+        x_eps, w_eps = path(eps)
+        x1 = x_eps[np.ix_(block, block)]
+        anti = float(np.linalg.norm(x1 @ w_eps + w_eps @ x1))
+        verdict = is_copositive(x_eps, tol)
+        out.append(_check(
+            f"eps={eps}: block equation holds, X(eps) not copositive",
+            anti <= tol.zero_tol and not verdict.member
+            and verdict.witness is not None,
+            f"|X(1)W+WX(1)|={anti:.2e}, min={verdict.min_value:.2e}"))
+    return out
 
 
 def build_pp4z_j() -> dict:
@@ -349,28 +368,13 @@ def _pp4z_j_expectations(tol: Tolerances) -> list[dict]:
     data = build_pp4z_j()
     zs, dd, rep, sys, cert = _pipeline(data["x"], data["u"], tol)
     e = np.eye(4)
-    out = [
+    return [
         _check("vertices e2, e3, e4",
                _match_vertex_sets(zs.vertices, [e[1], e[2], e[3]], 1e-9)),
         _check("single block with support {2,3,4}",
                len(zs.blocks) == 1 and _support_sets(zs) == {(2, 3, 4)}),
-        _check("assumption j FAIL", rep.j.status == FAIL, rep.j.status),
-        _check("assumption jj PASS", rep.jj.status == PASS, rep.jj.status),
-        _check("assumption jjj PASS", rep.jjj.status == PASS, rep.jjj.status),
-        _check("condition i PASS", rep.cond_i.status == PASS, rep.cond_i.status),
-        _check("condition ii PASS", rep.cond_ii.status == PASS, rep.cond_ii.status),
-    ]
-    for eps in EPS_GRID:
-        x_eps, w_eps = pp4z_j_path(eps)
-        x1 = x_eps[np.ix_([1, 2, 3], [1, 2, 3])]
-        anti = float(np.linalg.norm(x1 @ w_eps + w_eps @ x1))
-        verdict = is_copositive(x_eps, tol)
-        out.append(_check(
-            f"eps={eps}: block equation holds, X(eps) not copositive",
-            anti <= tol.zero_tol and not verdict.member
-            and verdict.witness is not None,
-            f"|X(1)W+WX(1)|={anti:.2e}, min={verdict.min_value:.2e}"))
-    return out
+        *_statuses(rep, j=FAIL, jj=PASS, jjj=PASS, cond_i=PASS, cond_ii=PASS),
+    ] + _backward_path_checks(pp4z_j_path, [1, 2, 3], tol)
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +401,7 @@ def _pp4z_jjj_expectations(tol: Tolerances) -> list[dict]:
     data = build_pp4z_jjj()
     zs, dd, rep, sys, cert = _pipeline(data["x"], data["u"], tol)
     e = np.eye(3)
-    out = [
+    return [
         _check("vertices e2, e3",
                _match_vertex_sets(zs.vertices, [e[1], e[2]], 1e-9)),
         _check("support {2,3}, contact sets {1,2,3}",
@@ -405,21 +409,8 @@ def _pp4z_jjj_expectations(tol: Tolerances) -> list[dict]:
         _check("restricted block W(1) == [[2,1],[1,2]]",
                np.linalg.norm(dd.restricted[0]
                               - np.array([[2.0, 1.0], [1.0, 2.0]])) <= 1e-10),
-        _check("assumption j PASS", rep.j.status == PASS, rep.j.status),
-        _check("assumption jj PASS", rep.jj.status == PASS, rep.jj.status),
-        _check("assumption jjj FAIL", rep.jjj.status == FAIL, rep.jjj.status),
-    ]
-    for eps in EPS_GRID:
-        x_eps, w_eps = pp4z_jjj_path(eps)
-        x1 = x_eps[np.ix_([1, 2], [1, 2])]
-        anti = float(np.linalg.norm(x1 @ w_eps + w_eps @ x1))
-        verdict = is_copositive(x_eps, tol)
-        out.append(_check(
-            f"eps={eps}: block equation holds, X(eps) not copositive",
-            anti <= tol.zero_tol and not verdict.member
-            and verdict.witness is not None,
-            f"|X(1)W+WX(1)|={anti:.2e}, min={verdict.min_value:.2e}"))
-    return out
+        *_statuses(rep, j=PASS, jj=PASS, jjj=FAIL),
+    ] + _backward_path_checks(pp4z_jjj_path, [1, 2], tol)
 
 
 # ---------------------------------------------------------------------------
@@ -451,11 +442,8 @@ def _pp4z_cond_ii_expectations(tol: Tolerances) -> list[dict]:
                _support_sets(zs) == {(2, 3)} and _contact_sets(zs) == {(2, 3)}),
         _check("restricted block W(1) == identity",
                np.linalg.norm(dd.restricted[0] - np.eye(2)) <= 1e-10),
-        _check("assumption jj PASS", rep.jj.status == PASS, rep.jj.status),
-        _check("assumption jjj PASS", rep.jjj.status == PASS, rep.jjj.status),
-        _check("condition i PASS", rep.cond_i.status == PASS, rep.cond_i.status),
-        _check("condition ii FAIL", rep.cond_ii.status == FAIL, rep.cond_ii.status),
-        _check("condition iii PASS", rep.cond_iii.status == PASS, rep.cond_iii.status),
+        *_statuses(rep, jj=PASS, jjj=PASS, cond_i=PASS, cond_ii=FAIL,
+                   cond_iii=PASS),
     ]
     idx = np.asarray(zs.supports[0])
     gens = [zs.vertices[j][idx] for j in zs.blocks[0]]
@@ -517,9 +505,8 @@ def hildebrand(theta=THETA_STAR) -> Scenario:
         return Scenario(
             "hildebrand",
             SCENARIOS["hildebrand"].description,
-            lambda: build_extremal5(theta),
-            lambda tol: (_extremal5_structure_checks(build_extremal5(theta), tol)[0]
-                         + _extremal5_path_checks(build_extremal5(theta), tol)))
+            functools.partial(build_extremal5, theta),
+            functools.partial(_extremal5_expectations, theta=theta))
     return SCENARIOS["hildebrand"]
 
 

@@ -55,7 +55,8 @@ def symmetrize(a) -> np.ndarray:
 
 def check_symmetric(a, tol: float = 1e-12) -> np.ndarray:
     """Symmetrize ``a`` after checking its entries are finite and the
-    asymmetry does not exceed ``tol``."""
+    asymmetry does not exceed ``tol``.  The symmetrized entries must stay
+    finite too, so that 2 X (the KKT systems' scaling) cannot overflow."""
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise SymMatError(f"expected a square matrix, got shape {a.shape}")
@@ -64,7 +65,11 @@ def check_symmetric(a, tol: float = 1e-12) -> np.ndarray:
     asym = np.max(np.abs(a - a.T)) if a.size else 0.0
     if asym > tol:
         raise SymMatError(f"matrix asymmetry {asym:.3e} exceeds {tol:.3e}")
-    return 0.5 * (a + a.T)
+    with np.errstate(over="ignore"):
+        sym = 0.5 * (a + a.T)
+    if not np.all(np.isfinite(sym)):
+        raise SymMatError("matrix entries overflow when symmetrized")
+    return sym
 
 
 def svec_pairs(p: int) -> list[tuple[int, int]]:

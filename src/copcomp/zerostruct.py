@@ -40,13 +40,6 @@ class ZeroStructure:
     def p(self) -> int:
         return self.x.shape[0]
 
-    @property
-    def n_blocks(self) -> int:
-        return len(self.blocks)
-
-    def p_block(self, s: int) -> int:
-        return len(self.supports[s])
-
     def to_json(self) -> dict:
         return {
             "p": self.p,

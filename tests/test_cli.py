@@ -161,6 +161,17 @@ def test_analyze_non_finite_entry_exit_2(tmp_path, capsys, bad):
     assert "input error" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("error")
+def test_analyze_huge_finite_entry_exit_2(tmp_path, capsys):
+    # X + X' overflows to inf; unchecked, the batched SVD in is_copositive
+    # does not return on such a matrix
+    x = build_s4()["x"].copy()
+    x[0, 0] = 1e308
+    rc = main(["analyze", _write(tmp_path, "x.json", x)])
+    assert rc == 2
+    assert "input error" in capsys.readouterr().err
+
+
 def test_analyze_order_above_exact_limit_exit_2(tmp_path, capsys):
     path = _write(tmp_path, "big.json", np.eye(EXACT_COPOSITIVITY_LIMIT + 1))
     rc = main(["analyze", path])

@@ -110,3 +110,84 @@ def test_scenario_json():
     obj = SCENARIOS["s4"].to_json()
     assert obj["name"] == "s4"
     assert "description" in obj
+
+
+_EPS_PATH = ("eps=0.2", "eps=0.1", "eps=0.05")
+_EPS_GRID = _EPS_PATH + ("eps=0.01",)
+_H_PATH = [f"{e}: complementary, anticommutator fails, X not PSD"
+           for e in _EPS_PATH]
+_BACKWARD_PATH = [f"{e}: block equation holds, X(eps) not copositive"
+                  for e in _EPS_GRID]
+
+# Every scenario's check names, in report order.
+EXPECTED_CHECKS = {
+    "s4": [
+        "vertices {(1/2,1/2,0),(0,1/2,1/2)}",
+        "contact sets {1,2} and {2,3}",
+        "two blocks with supports {1,2} and {2,3}",
+        "components bb' and cc' (Frobenius <= 1e-10)",
+        "assumption j PASS", "assumption jj PASS", "assumption jjj PASS",
+        "assumption cond_i PASS", "assumption cond_ii PASS",
+        "assumption cond_iii PASS",
+        "system size m == 6",
+        "anchor residual <= zero_tol",
+        "Jacobian rank 6 with sigma ratio > 1e-9",
+    ],
+    "hildebrand": [
+        "H == aa' + bb' (residual <= 1e-10)",
+        "complementarity H . U <= 1e-10",
+        "five vertices match normalized tau(j) to 1e-8",
+        "single block with support {1,...,5}",
+        "assumption j FAIL", "assumption jj PASS", "assumption jjj PASS",
+        *_H_PATH,
+    ],
+    "pp3z-j": [
+        "anchor assumption j FAIL",
+        *_H_PATH,
+        "forward verification reports equation failure along the path",
+    ],
+    "pp3z-jjj": [
+        "single vertex (1/2,1/2,0)",
+        "support {1,2}, contact set {1,2,3}",
+        "assumption j PASS", "assumption jj PASS", "assumption jjj FAIL",
+        *[f"{e}: complementary, block equation fails, third row of U nonzero"
+          for e in _EPS_GRID],
+    ],
+    "pp4z-j": [
+        "vertices e2, e3, e4",
+        "single block with support {2,3,4}",
+        "assumption j FAIL", "assumption jj PASS", "assumption jjj PASS",
+        "condition i PASS", "condition ii PASS",
+        *_BACKWARD_PATH,
+    ],
+    "pp4z-jjj": [
+        "vertices e2, e3",
+        "support {2,3}, contact sets {1,2,3}",
+        "restricted block W(1) == [[2,1],[1,2]]",
+        "assumption j PASS", "assumption jj PASS", "assumption jjj FAIL",
+        *_BACKWARD_PATH,
+    ],
+    "pp4z-cond-ii": [
+        "vertices e2, e3",
+        "support {2,3}, contact sets {2,3}",
+        "restricted block W(1) == identity",
+        "assumption jj PASS", "assumption jjj PASS",
+        "condition i PASS", "condition ii FAIL", "condition iii PASS",
+        *[f"{e}: W(1,eps) not completely positive" for e in _EPS_GRID],
+    ],
+}
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_scenario_checks_pinned_in_order(name):
+    records = run_scenario(name, TOL)
+    assert [(r["expectation"], r["passed"]) for r in records] == [
+        (e, True) for e in EXPECTED_CHECKS[name]]
+
+
+def test_hildebrand_nondefault_anchor_runs_the_same_checks():
+    theta = (0.7, 0.6, 0.5, 0.6, np.pi - 2.4)
+    records = hildebrand(theta).expectations(TOL)
+    assert [(r["expectation"], r["passed"]) for r in records] == [
+        (e, True) for e in EXPECTED_CHECKS["hildebrand"]]
+    assert hildebrand(theta).build()["theta"] == theta

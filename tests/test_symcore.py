@@ -161,6 +161,15 @@ def test_json_roundtrip(tmp_path):
         symmat_from_json({"p": 2, "rows": [[1.0, 0.0]]})
 
 
+@pytest.mark.filterwarnings("error")
+def test_symmat_from_json_rejects_entries_that_overflow_when_symmetrized():
+    rows = [[1e308, -1.0], [-1.0, 1.0]]
+    with pytest.raises(SymMatError, match="overflow"):
+        symmat_from_json({"p": 2, "rows": rows})
+    rows[0][0] = 8e307  # 2 * 8e307 is still finite
+    assert symmat_from_json({"p": 2, "rows": rows})[0, 0] == 8e307
+
+
 def test_symmetrize_rejects_nonsquare():
     with pytest.raises(SymMatError):
         symmetrize(np.zeros((2, 3)))
