@@ -10,6 +10,7 @@ failure, failed scenario expectation), 2 on bad input.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import sys
@@ -17,11 +18,11 @@ import sys
 import numpy as np
 
 from . import __version__
-from .cones import OrderLimitError, is_copositive, simplex_min_oracle
+from .cones import is_copositive, simplex_min_oracle
 from .complement import ComplementError, check_assumptions, decompose_dual
 from .defeq import build_system, rank_certificate
 from .paperlab import run_scenario, scenario_names, SCENARIOS
-from .symcore import SymMatError, Tolerances, load_symmat, symmat_to_json
+from .symcore import Tolerances, load_symmat, symmat_to_json
 from .zerostruct import ZeroStructureError, compute_zero_structure
 
 SCHEMA = "copcomp/1"
@@ -36,21 +37,19 @@ def _digest(*mats) -> str:
 
 
 def _tolerances(args) -> Tolerances:
-    return Tolerances(zero_tol=args.zero_tol, rank_tol=args.rank_tol,
-                      psd_tol=args.psd_tol)
+    return Tolerances(**{f.name: getattr(args, f.name)
+                         for f in dataclasses.fields(Tolerances)})
 
 
 def cmd_analyze(args) -> int:
+    # JSONDecodeError, SymMatError, OrderLimitError and LinAlgError are
+    # all ValueErrors
     try:
         x = load_symmat(args.x)
         u = load_symmat(args.u) if args.u else None
         tol = _tolerances(args)
-    except (OSError, json.JSONDecodeError, SymMatError, ValueError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
-    try:
         verdict = is_copositive(x, tol)
-    except OrderLimitError as exc:
+    except (OSError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
 
@@ -58,8 +57,7 @@ def cmd_analyze(args) -> int:
         "schema": SCHEMA,
         "version": __version__,
         "digest": _digest(x, u),
-        "tolerances": {"zero_tol": tol.zero_tol, "rank_tol": tol.rank_tol,
-                       "psd_tol": tol.psd_tol},
+        "tolerances": dataclasses.asdict(tol),
         "inputs": {"x": symmat_to_json(x),
                    "u": None if u is None else symmat_to_json(u)},
         "copositive": verdict.to_json(),
@@ -178,9 +176,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="complementarity analysis for the copositive cone")
 
     def add_common(p):
-        p.add_argument("--zero-tol", type=float, default=1e-9)
-        p.add_argument("--rank-tol", type=float, default=1e-9)
-        p.add_argument("--psd-tol", type=float, default=1e-9)
+        for f in dataclasses.fields(Tolerances):
+            p.add_argument(f"--{f.name.replace('_', '-')}", type=float,
+                           default=f.default)
         p.add_argument("--json", action="store_true",
                        help="emit a JSON report instead of text")
 

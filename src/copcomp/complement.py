@@ -19,12 +19,13 @@ from .symcore import (
     PSD_INTERIOR,
     NOT_PSD,
     Tolerances,
+    outer_columns,
     psd_status,
     rank_of_set,
     rank_of_vectors,
     symmetrize,
 )
-from .zerostruct import ZeroStructure, pair_index_set
+from .zerostruct import ZeroStructure, pair_sums
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -155,9 +156,7 @@ def _subset_columns(vectors, groups):
             labels += [(s, combo) for combo in combos]
             sums.append(g)
     gens = np.vstack(sums)
-    gt = np.ascontiguousarray(gens.T)
-    cols = (gt[:, None, :] * gt[None, :, :]).reshape(gt.shape[0] ** 2, -1)
-    return labels, gens, cols
+    return labels, gens, outer_columns(gens)
 
 
 def face_nnls(vectors, groups, target):
@@ -196,11 +195,7 @@ def face_nnls(vectors, groups, target):
 def _basis_pair_rank(zs: ZeroStructure, tol: Tolerances) -> tuple[int, int]:
     """Rank and size of the basis-pair family {(tau(i)+tau(j))(tau(i)+tau(j))'
     : i <= j in J_b(s)}, whose independence is Assumption jj."""
-    mats = []
-    for jb in zs.basis:
-        for (i, j) in pair_index_set(jb):
-            g = zs.vertices[i] + zs.vertices[j]
-            mats.append(np.outer(g, g))
+    mats = [np.outer(g, g) for jb in zs.basis for g in pair_sums(zs.vertices, jb)]
     return rank_of_set(mats, tol), len(mats)
 
 
@@ -214,14 +209,14 @@ def decompose_dual(u: np.ndarray, zs: ZeroStructure, tol: Tolerances = Tolerance
     without it the components are one representative, which can depend
     on the index order."""
     u = symmetrize(u)
-    if abs(float(np.tensordot(zs.x, u))) > 10 * tol.zero_tol:
+    if abs(float(np.tensordot(zs.x, u))) > tol.slack:
         raise ComplementError("X . U exceeds tolerance; pair is not complementary")
     if not zs.blocks:
         if np.linalg.norm(u) > tol.zero_tol:
             raise ComplementError("empty zero set admits only U = 0")
         return DualDecomposition([], [], [], 0.0, 0, 0)
     components, coefficients, residual = face_nnls(zs.vertices, zs.blocks, u)
-    if residual > 10 * tol.zero_tol:
+    if residual > tol.slack:
         raise ComplementError(
             f"U is not representable over the zero-set generators "
             f"(residual {residual:.3e}); not complementary to X in CP"
@@ -238,7 +233,7 @@ def _strictness_lp(w_restricted: np.ndarray, bars: list[np.ndarray], slack: floa
     of the decomposition that produced W.
     """
     m = len(bars)
-    cols = np.column_stack([np.outer(b, b).ravel() for b in bars])
+    cols = outer_columns(bars)
     nrow = cols.shape[0]
     # variables: a_1..a_m, gamma
     c = np.zeros(m + 1)
@@ -271,17 +266,14 @@ def check_assumption_j(zs: ZeroStructure, dd: DualDecomposition, tol: Tolerances
     per_block = []
     status = PASS
     for s, block in enumerate(zs.blocks):
-        support = zs.supports[s]
-        idx = np.asarray(support)
-        taus = [zs.vertices[j][idx] for j in block]
+        taus = zs.block_vectors(s)
         w0 = dd.restricted[s]
         # necessary range condition: range(W0(s)) inside and onto span{tau_*}
         rank_tau = rank_of_vectors(taus, tol)
         rank_w = rank_of_vectors(list(w0), tol) if np.linalg.norm(w0) > 0 else 0
         rank_joint = rank_of_vectors(taus + list(w0), tol)
         range_ok = (rank_w == rank_tau) and (rank_joint == rank_tau)
-        bars = [taus[a] + taus[b]
-                for (a, b) in pair_index_set(range(len(block)))]
+        bars = pair_sums(taus, range(len(block)))
         slack = max(10 * dd.residual, tol.zero_tol)
         gamma = _strictness_lp(w0, bars, slack)
         entry = {
@@ -337,12 +329,11 @@ def positive_factorization(w: np.ndarray, taus_restricted: list,
     is accepted.
     """
     w = symmetrize(w)
-    lam = np.linalg.eigvalsh(w)
-    if lam.size and lam[0] < -tol.psd_tol:
+    if psd_status(w, tol)[0] == NOT_PSD:
         raise ValueError("W must be PSD for positive factorization")
     taus = np.asarray(taus_restricted, dtype=float)
     _, [alpha], residual = face_nnls(taus, [range(len(taus))], w)
-    if residual > 10 * tol.zero_tol:
+    if residual > tol.slack:
         return None
     # drop numerically-inactive generators; the product check below bounds
     # the total truncation error
@@ -357,8 +348,7 @@ def positive_factorization(w: np.ndarray, taus_restricted: list,
     for theta in (0.0, 1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6):
         shifted = [b + theta * t_hat for b in bst]
         if theta > 0.0:
-            shift_cols = np.column_stack(
-                [np.outer(c, c).ravel() for c in shifted])
+            shift_cols = outer_columns(shifted)
             beta, _, _, _ = np.linalg.lstsq(shift_cols, target, rcond=None)
             if np.linalg.norm(shift_cols @ beta - target) > 1e-8:
                 continue
@@ -370,7 +360,7 @@ def positive_factorization(w: np.ndarray, taus_restricted: list,
         m = np.column_stack([np.sqrt(mu[k]) * shifted[k] for k in range(gamma)])
         if m.size and np.min(m) <= 0.0:
             continue
-        if np.linalg.norm(m @ m.T - w) <= 10 * tol.zero_tol:
+        if np.linalg.norm(m @ m.T - w) <= tol.slack:
             return m
     return None
 
@@ -382,10 +372,8 @@ def check_conditions(zs: ZeroStructure, dd: DualDecomposition,
 
     factor_info = []
     status_ii = PASS
-    for s, block in enumerate(zs.blocks):
-        idx = np.asarray(zs.supports[s])
-        taus = [zs.vertices[j][idx] for j in block]
-        m = positive_factorization(dd.restricted[s], taus, tol)
+    for s in range(len(zs.blocks)):
+        m = positive_factorization(dd.restricted[s], zs.block_vectors(s), tol)
         if m is None:
             status_ii = FAIL
             factor_info.append({"block": s + 1, "factor": None})
@@ -415,7 +403,7 @@ def check_assumptions(x: np.ndarray, u: np.ndarray, zs: ZeroStructure,
                       dd: DualDecomposition, tol: Tolerances = Tolerances()) -> AssumptionReport:
     x = symmetrize(x)
     u = symmetrize(u)
-    if abs(float(np.tensordot(x, u))) > 10 * tol.zero_tol:
+    if abs(float(np.tensordot(x, u))) > tol.slack:
         raise ComplementError("pair is not complementary within tolerance")
     jjj = check_assumption_jjj(zs)
     jj = check_assumption_jj(dd)

@@ -14,11 +14,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import nnls
 
-from .symcore import Tolerances, symmetrize
+from .symcore import NOT_PSD, Tolerances, outer_columns, psd_status, symmetrize
 
 EXACT_COPOSITIVITY_LIMIT = 12
-
-NOT_IN_SPAN = "NOT_IN_SPAN"
 
 
 class OrderLimitError(ValueError):
@@ -48,15 +46,11 @@ class CopVerdict:
 
 @dataclass
 class CpCertificate:
-    status: str  # "MEMBER" or NOT_IN_SPAN
+    member: bool  # U lies in the cone of the generators' outer products
     generators: list = field(default_factory=list)
-    weights: np.ndarray | None = None
+    weights: np.ndarray | None = None  # None when not a member
     residual: float = 0.0
     doubly_nonnegative: bool | None = None
-
-    @property
-    def member(self) -> bool:
-        return self.status == "MEMBER"
 
     def reconstruct(self, p: int) -> np.ndarray:
         u = np.zeros((p, p))
@@ -64,15 +58,6 @@ class CpCertificate:
             for w, g in zip(self.weights, self.generators):
                 u += w * np.outer(g, g)
         return u
-
-    def to_json(self) -> dict:
-        return {
-            "status": self.status,
-            "generators": [np.asarray(g).tolist() for g in self.generators],
-            "weights": None if self.weights is None else self.weights.tolist(),
-            "residual": self.residual,
-            "doubly_nonnegative": self.doubly_nonnegative,
-        }
 
 
 def principal_blocks(x: np.ndarray, size: int):
@@ -226,8 +211,7 @@ def doubly_nonnegative(u: np.ndarray, tol: Tolerances) -> bool:
     u = symmetrize(u)
     if u.size and np.min(u) < -tol.zero_tol:
         return False
-    lam = np.linalg.eigvalsh(u) if u.size else np.array([0.0])
-    return bool(lam[0] >= -tol.psd_tol)
+    return psd_status(u, tol)[0] != NOT_PSD
 
 
 def cp_membership(u: np.ndarray, generators, tol: Tolerances = Tolerances()) -> CpCertificate:
@@ -248,9 +232,8 @@ def cp_membership(u: np.ndarray, generators, tol: Tolerances = Tolerances()) -> 
         if np.min(g) < -tol.zero_tol:
             raise ValueError("generators must be entrywise nonnegative")
     dnn = doubly_nonnegative(u, tol)
-    a = np.column_stack([np.outer(g, g).ravel() for g in gens])
+    a = outer_columns(gens)
     w, _ = nnls(a, u.ravel())
     resid = float(np.linalg.norm(a @ w - u.ravel()))
-    if resid <= tol.zero_tol:
-        return CpCertificate("MEMBER", gens, w, resid, dnn)
-    return CpCertificate(NOT_IN_SPAN, gens, None, resid, dnn)
+    member = resid <= tol.zero_tol
+    return CpCertificate(member, gens, w if member else None, resid, dnn)

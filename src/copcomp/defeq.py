@@ -18,15 +18,16 @@ from .complement import FAIL, DualDecomposition, embed, face_nnls, restrict
 from .symcore import (
     PSD_INTERIOR,
     Tolerances,
+    numerical_rank,
     psd_status,
     smat,
     svec,
     svec_dim,
-    svec_pairs,
+    svec_subindex,
     sym_kron,
     symmetrize,
 )
-from .zerostruct import ZeroStructure, pair_index_set
+from .zerostruct import ZeroStructure, pair_index_set, pair_sums
 
 
 @dataclass
@@ -148,18 +149,13 @@ def jacobian(sys: DefiningSystem, z: np.ndarray) -> np.ndarray:
     differences of the residual.
     """
     x, ws = sys.split(z)
-    full_pairs = {pair: idx for idx, pair in enumerate(svec_pairs(sys.p))}
     jac = np.zeros((sys.m, sys.size))
     row = 0
     for w, ps, off, d in zip(ws, sys.supports, sys.offsets(), sys.block_dims):
-        idx = np.asarray(ps)
         xs = restrict(x, ps)
-        k_block = 2.0 * sym_kron(w, np.eye(len(ps)))
-        l_block = 2.0 * sym_kron(xs, np.eye(len(ps)))
-        for col_local, (a, b) in enumerate(svec_pairs(len(ps))):
-            col_global = full_pairs[(int(idx[a]), int(idx[b]))]
-            jac[row: row + d, col_global] = k_block[:, col_local]
-        jac[row: row + d, off: off + d] = l_block
+        cols = svec_subindex(sys.p, ps)
+        jac[row: row + d, cols] = 2.0 * sym_kron(w, np.eye(len(ps)))
+        jac[row: row + d, off: off + d] = 2.0 * sym_kron(xs, np.eye(len(ps)))
         row += d
     return jac
 
@@ -171,7 +167,7 @@ def rank_certificate(sys: DefiningSystem, z0: np.ndarray,
         return RankCertificate(0, 0, 0.0, 0.0, 1.0)
     jac = jacobian(sys, z0)
     sv = np.linalg.svd(jac, compute_uv=False)
-    rank = int(np.sum(sv > tol.rank_tol * sv[0])) if sv[0] > 0 else 0
+    rank = numerical_rank(sv, tol)
     kept = float(sv[rank - 1]) if rank else 0.0
     dropped = float(sv[rank]) if rank < len(sv) else 0.0
     ratio = float(sv[min(sys.m, len(sv)) - 1] / sv[0]) if sv[0] > 0 else 0.0
@@ -223,7 +219,7 @@ def verify_forward(x_path: list, u_path: list, zs: ZeroStructure,
         x_eps = symmetrize(x_eps)
         u_eps = symmetrize(u_eps)
         comp = abs(float(np.tensordot(x_eps, u_eps)))
-        if comp > 10 * tol.zero_tol:
+        if comp > tol.slack:
             raise ValueError(
                 f"path point {k} is not complementary (X . U = {comp:.3e})")
         comps, _, fit_residual = face_nnls(zs.vertices, zs.blocks, u_eps)
@@ -239,7 +235,7 @@ def verify_forward(x_path: list, u_path: list, zs: ZeroStructure,
             "reconstruction": recon,
             "fit_residual": fit_residual,
             "anticommutator_ok": anti <= tol.zero_tol,
-            "reconstruction_ok": recon <= 10 * tol.zero_tol,
+            "reconstruction_ok": recon <= tol.slack,
         })
     return reports
 
@@ -259,24 +255,24 @@ def verify_backward(x_path: list, w_paths: list, zs: ZeroStructure,
         z = sys.pack(x_eps, ws)
         r = residual(sys, z)
         anti = float(np.linalg.norm(r, ord=np.inf)) if r.size else 0.0
-        if anti > 10 * tol.zero_tol:
+        if anti > tol.slack:
             raise ValueError(
                 f"path point {k} violates the anticommutator equations "
                 f"({anti:.3e}); backward verification inapplicable")
         cop = is_copositive(x_eps, tol)
         w_verdicts = []
         for s, w in enumerate(ws):
-            idx = np.asarray(sys.supports[s])
-            gens = [zs.vertices[j][idx] for j in zs.blocks[s]]
+            gens = zs.block_vectors(s)
             cert = cp_membership(w, gens, tol) if gens else None
-            in_cp = bool(cert.member) if cert is not None else False
-            if not in_cp and len(idx) <= 4:
-                in_cp = doubly_nonnegative(w, tol)
+            dnn = doubly_nonnegative(w, tol) if cert is None else cert.doubly_nonnegative
+            # doubly nonnegative is completely positive for order <= 4
+            in_cp = ((cert is not None and cert.member)
+                     or (len(sys.supports[s]) <= 4 and dnn))
             w_verdicts.append({
                 "block": s + 1,
                 "in_cp": in_cp,
                 "nnls_residual": None if cert is None else cert.residual,
-                "doubly_nonnegative": doubly_nonnegative(w, tol),
+                "doubly_nonnegative": dnn,
             })
         u_eps = reconstruct_U(sys, ws)
         comp = abs(float(np.tensordot(x_eps, u_eps)))
@@ -286,7 +282,7 @@ def verify_backward(x_path: list, w_paths: list, zs: ZeroStructure,
             "copositivity_witness": None if cop.member else cop.witness,
             "w_blocks": w_verdicts,
             "complementarity": comp,
-            "complementarity_ok": comp <= 10 * tol.zero_tol,
+            "complementarity_ok": comp <= tol.slack,
         })
     return reports
 
@@ -299,14 +295,14 @@ def check_p23101(x: np.ndarray, u: np.ndarray, tol: Tolerances = Tolerances()):
     pair with vanishing product."""
     x = symmetrize(x)
     u = symmetrize(u)
-    if np.linalg.norm(u @ x + x @ u) > 10 * tol.zero_tol:
+    if np.linalg.norm(u @ x + x @ u) > tol.slack:
         return NOT_APPLICABLE
     verdict, _ = psd_status(x + u, tol)
     if verdict != PSD_INTERIOR:
         return NOT_APPLICABLE
     x_psd = psd_status(x, tol)[0] != "NOT_PSD"
     u_psd = psd_status(u, tol)[0] != "NOT_PSD"
-    product_zero = bool(np.linalg.norm(u @ x) <= 10 * tol.zero_tol)
+    product_zero = bool(np.linalg.norm(u @ x) <= tol.slack)
     return {"x_psd": x_psd, "u_psd": u_psd, "product_zero": product_zero}
 
 
@@ -319,9 +315,8 @@ def express_in_pair_basis(z_mat: np.ndarray, tau_basis: list,
         raise ValueError("pair basis must be nonempty")
     z_mat = symmetrize(z_mat)
     pairs = pair_index_set(range(len(tau_basis)))
-    cols = np.column_stack(
-        [svec(np.outer(tau_basis[a] + tau_basis[b], tau_basis[a] + tau_basis[b]))
-         for (a, b) in pairs])
+    cols = np.column_stack([svec(np.outer(g, g))
+                            for g in pair_sums(tau_basis, range(len(tau_basis)))])
     beta, _, _, _ = np.linalg.lstsq(cols, svec(z_mat), rcond=None)
     if np.linalg.norm(cols @ beta - svec(z_mat)) > max(tol.zero_tol, 1e-9):
         return FAIL

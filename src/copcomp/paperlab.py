@@ -20,7 +20,7 @@ from .complement import (
     decompose_dual,
 )
 from .defeq import build_system, rank_certificate, residual, verify_forward
-from .symcore import Tolerances, symmetrize
+from .symcore import Tolerances, psd_status, symmetrize
 from .zerostruct import compute_zero_structure
 
 THETA_STAR = (np.pi / 5,) * 5
@@ -232,7 +232,7 @@ def _extremal5_path_checks(data, tol: Tolerances) -> list[dict]:
         x_eps, u_eps = extremal5_path(data["theta"], eps)
         comp = abs(float(np.tensordot(x_eps, u_eps)))
         anti = float(np.linalg.norm(x_eps @ u_eps + u_eps @ x_eps))
-        lam_min = float(np.linalg.eigvalsh(x_eps)[0])
+        lam_min = psd_status(x_eps, tol)[1]
         out.append(_check(
             f"eps={eps}: complementary, anticommutator fails, X not PSD",
             comp <= 1e-10 and anti > 1e-3 and lam_min < -1e-6,
@@ -445,8 +445,7 @@ def _pp4z_cond_ii_expectations(tol: Tolerances) -> list[dict]:
         *_statuses(rep, jj=PASS, jjj=PASS, cond_i=PASS, cond_ii=FAIL,
                    cond_iii=PASS),
     ]
-    idx = np.asarray(zs.supports[0])
-    gens = [zs.vertices[j][idx] for j in zs.blocks[0]]
+    gens = zs.block_vectors(0)
     for eps in EPS_GRID:
         _, w_eps = pp4z_cond_ii_path(eps)
         cert_w = cp_membership(w_eps, gens, tol)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -39,36 +39,38 @@ class Tolerances:
     psd_tol: float = 1e-9
 
     def __post_init__(self):
-        for name in ("zero_tol", "rank_tol", "psd_tol"):
-            v = getattr(self, name)
+        for f in fields(self):
+            v = getattr(self, f.name)
             if not (0.0 < v < 1.0):
-                raise ValueError(f"{name} must be in (0, 1), got {v}")
+                raise ValueError(f"{f.name} must be in (0, 1), got {v}")
+
+    @property
+    def slack(self) -> float:
+        """Looser zero threshold (10 zero_tol) for verifying derived facts."""
+        return 10 * self.zero_tol
 
 
 def symmetrize(a) -> np.ndarray:
-    """Return the symmetric part of ``a`` as a float64 array."""
+    """Return the symmetric part of ``a`` as a float64 array; SymMatError
+    when it has a NaN or infinite entry (from the input or an overflow)."""
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise SymMatError(f"expected a square matrix, got shape {a.shape}")
-    return 0.5 * (a + a.T)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sym = 0.5 * (a + a.T)
+    if not np.all(np.isfinite(sym)):
+        raise SymMatError("matrix has a non-finite entry or overflows when symmetrized")
+    return sym
 
 
 def check_symmetric(a, tol: float = 1e-12) -> np.ndarray:
-    """Symmetrize ``a`` after checking its entries are finite and the
-    asymmetry does not exceed ``tol``.  The symmetrized entries must stay
-    finite too, so that 2 X (the KKT systems' scaling) cannot overflow."""
+    """Symmetrize ``a`` after checking its asymmetry does not exceed ``tol``."""
+    sym = symmetrize(a)
     a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise SymMatError(f"expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise SymMatError("matrix has a non-finite (NaN or infinite) entry")
-    asym = np.max(np.abs(a - a.T)) if a.size else 0.0
+    with np.errstate(over="ignore"):
+        asym = np.max(np.abs(a - a.T)) if a.size else 0.0
     if asym > tol:
         raise SymMatError(f"matrix asymmetry {asym:.3e} exceeds {tol:.3e}")
-    with np.errstate(over="ignore"):
-        sym = 0.5 * (a + a.T)
-    if not np.all(np.isfinite(sym)):
-        raise SymMatError("matrix entries overflow when symmetrized")
     return sym
 
 
@@ -78,7 +80,8 @@ def svec_pairs(p: int) -> list[tuple[int, int]]:
     Component for pair (k, l) is F[l, k]: column-major lower triangle,
     matching the order (F11, sqrt2*F21, ..., sqrt2*Fp1, F22, ...).
     """
-    return [(k, l) for k in range(p) for l in range(k, p)]
+    k, l, _ = _svec_index(p)
+    return list(zip(k.tolist(), l.tolist()))
 
 
 def svec_dim(p: int) -> int:
@@ -87,13 +90,31 @@ def svec_dim(p: int) -> int:
 
 @functools.lru_cache(maxsize=32)
 def _svec_index(p: int):
-    """Index arrays (k, l) of :func:`svec_pairs` and the sqrt(2) scale,
-    shared by every caller and therefore read-only."""
+    """The svec order: index arrays (k, l), k <= l, and the sqrt(2) scale
+    of each component, shared by every caller and therefore read-only."""
     k, l = np.triu_indices(p)
     idx = (k, l, np.where(k == l, 1.0, SQRT2))
     for a in idx:
         a.setflags(write=False)
     return idx
+
+
+@functools.lru_cache(maxsize=32)
+def _svec_position(p: int) -> np.ndarray:
+    """Read-only (p, p) matrix of svec positions: pair (k, l) at [k, l] and [l, k]."""
+    k, l, _ = _svec_index(p)
+    pos = np.empty((p, p), dtype=int)
+    pos[k, l] = pos[l, k] = np.arange(len(k))
+    pos.setflags(write=False)
+    return pos
+
+
+def svec_subindex(p: int, support) -> np.ndarray:
+    """Positions in an order-p svec of the svec coordinates of the
+    principal submatrix on the ascending index tuple ``support``."""
+    k, l, _ = _svec_index(len(support))
+    idx = np.asarray(support, dtype=int)
+    return _svec_position(p)[idx[k], idx[l]]
 
 
 def svec(f: np.ndarray) -> np.ndarray:
@@ -142,10 +163,10 @@ def psd_status(f: np.ndarray, tol: Tolerances) -> tuple[str, float]:
     """Classify ``f`` by its smallest eigenvalue.
 
     Returns (verdict, lambda_min) with verdict one of NOT_PSD,
-    PSD_BOUNDARY, PSD_INTERIOR.
+    PSD_BOUNDARY, PSD_INTERIOR; ``f`` is PSD within tolerance iff not NOT_PSD.
     """
-    f = symmetrize(f)
-    lam_min = float(np.linalg.eigvalsh(f)[0])
+    lam = np.linalg.eigvalsh(symmetrize(f))
+    lam_min = float(lam[0]) if lam.size else 0.0
     if lam_min < -tol.psd_tol:
         return NOT_PSD, lam_min
     if lam_min > tol.psd_tol:
@@ -158,11 +179,27 @@ def rank_of_vectors(vecs, tol: Tolerances) -> int:
     vecs = [np.asarray(v, dtype=float) for v in vecs]
     if not vecs:
         return 0
-    a = np.vstack(vecs)
-    sv = np.linalg.svd(a, compute_uv=False)
+    return numerical_rank(np.linalg.svd(np.vstack(vecs), compute_uv=False), tol)
+
+
+def numerical_rank(sv: np.ndarray, tol: Tolerances) -> int:
+    """Count of the (descending) singular values above rank_tol * sv[0]."""
     if sv.size == 0 or sv[0] == 0.0:
         return 0
     return int(np.sum(sv > tol.rank_tol * sv[0]))
+
+
+def null_eigenvalues(lam: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """Zero-eigenvalue mask, |lam| <= psd_tol * max(1, max |lam|), per last axis."""
+    lam = np.abs(lam)
+    return lam <= tol.psd_tol * np.max(lam, axis=-1, keepdims=True, initial=1.0)
+
+
+def outer_columns(gens) -> np.ndarray:
+    """C-contiguous (p^2, n) matrix whose columns are vec(g g'), g the rows of gens."""
+    gt = np.ascontiguousarray(np.asarray(gens, dtype=float).T)
+    p, n = gt.shape
+    return (gt[:, None, :] * gt[None, :, :]).reshape(p * p, n)
 
 
 def rank_of_set(mats, tol: Tolerances) -> int:
@@ -179,11 +216,9 @@ def rank_of_set(mats, tol: Tolerances) -> int:
 
 def kernel_basis(f: np.ndarray, tol: Tolerances) -> list[np.ndarray]:
     """Orthonormal basis of the numerical null space of a symmetric matrix."""
-    f = symmetrize(f)
-    lam, vecs = np.linalg.eigh(f)
-    scale = max(1.0, float(np.max(np.abs(lam))) if lam.size else 1.0)
-    keep = np.abs(lam) <= tol.psd_tol * scale
-    return [vecs[:, i].copy() for i in range(f.shape[0]) if keep[i]]
+    lam, vecs = np.linalg.eigh(symmetrize(f))
+    keep = null_eigenvalues(lam, tol)
+    return [vecs[:, i].copy() for i in np.nonzero(keep)[0]]
 
 
 def symmat_to_json(f: np.ndarray) -> dict:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cones import CopVerdict, is_copositive, principal_blocks
-from .symcore import Tolerances, rank_of_vectors, symmetrize
+from .symcore import Tolerances, null_eigenvalues, rank_of_vectors, symmetrize
 
 
 class ZeroStructureError(ValueError):
@@ -40,6 +40,11 @@ class ZeroStructure:
     def p(self) -> int:
         return self.x.shape[0]
 
+    def block_vectors(self, s: int) -> list[np.ndarray]:
+        """The vertices tau(j), j in J(s), restricted to P_*(s)."""
+        idx = np.asarray(self.supports[s])
+        return [self.vertices[j][idx] for j in self.blocks[s]]
+
     def to_json(self) -> dict:
         return {
             "p": self.p,
@@ -58,14 +63,20 @@ def pair_index_set(indices) -> list[tuple[int, int]]:
     return [(i, j) for a, i in enumerate(idx) for j in idx[a:]]
 
 
+def pair_sums(vectors, indices) -> list[np.ndarray]:
+    """The pair sums vectors[a] + vectors[b], (a, b) in V(indices), in
+    :func:`pair_index_set` order."""
+    return [vectors[a] + vectors[b] for a, b in pair_index_set(indices)]
+
+
 def support_of(t: np.ndarray, tol: Tolerances) -> tuple[int, ...]:
     return tuple(int(k) for k in np.nonzero(np.abs(t) > tol.zero_tol)[0])
 
 
-def _is_zero_with_kkt(x: np.ndarray, t: np.ndarray, tol: Tolerances) -> bool:
-    if abs(float(t @ x @ t)) > tol.zero_tol:
+def _is_zero_with_kkt(x: np.ndarray, t: np.ndarray, bound: float) -> bool:
+    if abs(float(t @ x @ t)) > bound:
         return False
-    return bool(np.min(x @ t) >= -tol.zero_tol)
+    return bool(np.min(x @ t) >= -bound)
 
 
 def enumerate_zero_vertices(x: np.ndarray, tol: Tolerances = Tolerances(),
@@ -98,8 +109,7 @@ def enumerate_zero_vertices(x: np.ndarray, tol: Tolerances = Tolerances(),
     for size in range(1, p + 1):
         supports, xi = principal_blocks(x, size)
         lam, vecs = np.linalg.eigh(xi)
-        scale = np.maximum(1.0, np.max(np.abs(lam), axis=1, keepdims=True))
-        null = np.abs(lam) <= tol.psd_tol * scale
+        null = null_eigenvalues(lam, tol)
         for m in np.nonzero(np.count_nonzero(null, axis=1) == 1)[0]:
             v = vecs[m][:, np.argmax(null[m])]
             if v.sum() < 0:
@@ -108,7 +118,7 @@ def enumerate_zero_vertices(x: np.ndarray, tol: Tolerances = Tolerances(),
                 continue  # kernel vector not strictly positive on the support
             t = np.zeros(p)
             t[supports[m]] = v / v.sum()
-            if not _is_zero_with_kkt(x, t, max_tol(tol)):
+            if not _is_zero_with_kkt(x, t, min(tol.slack, 0.99)):
                 continue
             if all(np.linalg.norm(t - c, ord=np.inf) > tol.zero_tol for c in candidates):
                 candidates.append(t)
@@ -116,17 +126,11 @@ def enumerate_zero_vertices(x: np.ndarray, tol: Tolerances = Tolerances(),
     return candidates
 
 
-def max_tol(tol: Tolerances) -> Tolerances:
-    """Looser copy used for verifying derived facts (10x zero threshold)."""
-    return Tolerances(zero_tol=min(10 * tol.zero_tol, 0.99),
-                      rank_tol=tol.rank_tol, psd_tol=tol.psd_tol)
-
-
 def compute_contact_set(x: np.ndarray, tau: np.ndarray, tol: Tolerances = Tolerances()) -> tuple[int, ...]:
     """M(j) = {k : e_k' X tau = 0} for a zero tau of X."""
     x = symmetrize(x)
     tau = np.asarray(tau, dtype=float)
-    if abs(float(tau @ x @ tau)) > 10 * tol.zero_tol:
+    if abs(float(tau @ x @ tau)) > tol.slack:
         raise ZeroStructureError("tau is not a zero of X within tolerance")
     g = x @ tau
     contact = tuple(int(k) for k in np.nonzero(np.abs(g) <= tol.zero_tol)[0])
@@ -235,10 +239,7 @@ def compute_zero_structure(x: np.ndarray, tol: Tolerances = Tolerances(),
     x = symmetrize(x)
     vertices = enumerate_zero_vertices(x, tol, verdict)
     contact_sets = [compute_contact_set(x, v, tol) for v in vertices]
-    if vertices:
-        blocks, witnesses = partition_blocks(vertices, contact_sets, tol)
-    else:
-        blocks, witnesses = [], {}
+    blocks, witnesses = partition_blocks(vertices, contact_sets, tol)
     supports = []
     basis = []
     for b in blocks:

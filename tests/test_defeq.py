@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
-from copcomp.complement import decompose_dual
+import copcomp.cones as cones
+import copcomp.defeq as defeq
+from copcomp.complement import decompose_dual, restrict
+from copcomp.cones import cp_membership, doubly_nonnegative
 from copcomp.defeq import (
     NO_CONVERGENCE,
     NOT_APPLICABLE,
@@ -23,10 +26,11 @@ from copcomp.paperlab import (
     build_s4,
     extremal5_path,
     pp3z_jjj_path,
+    pp4z_cond_ii_path,
     pp4z_j_path,
     pp4z_jjj_path,
 )
-from copcomp.symcore import Tolerances, svec, svec_dim
+from copcomp.symcore import Tolerances, svec, svec_dim, sym_kron
 from copcomp.zerostruct import compute_zero_structure
 
 TOL = Tolerances()
@@ -136,6 +140,41 @@ def test_jacobian_matches_finite_differences():
             fd = _fd_jacobian(sys, z)
             scale = max(1.0, np.abs(jac).max())
             assert np.abs(jac - fd).max() / scale <= 1e-6, name
+
+
+def _jacobian_loop(sys, z):
+    # reference: a dict from each svec pair of X to its column, and one
+    # column copy per pair of each block's support
+    def pairs(p):
+        return [(k, l) for k in range(p) for l in range(k, p)]
+
+    x, ws = sys.split(z)
+    full_pairs = {pair: idx for idx, pair in enumerate(pairs(sys.p))}
+    jac = np.zeros((sys.m, sys.size))
+    row = 0
+    for w, ps, off, d in zip(ws, sys.supports, sys.offsets(), sys.block_dims):
+        idx = np.asarray(ps)
+        k_block = 2.0 * sym_kron(w, np.eye(len(ps)))
+        l_block = 2.0 * sym_kron(restrict(x, ps), np.eye(len(ps)))
+        for col_local, (a, b) in enumerate(pairs(len(ps))):
+            col_global = full_pairs[(int(idx[a]), int(idx[b]))]
+            jac[row: row + d, col_global] = k_block[:, col_local]
+        jac[row: row + d, off: off + d] = l_block
+        row += d
+    return jac
+
+
+def test_jacobian_matches_the_pair_dict_scatter_bit_for_bit():
+    rng = np.random.default_rng(20261018)
+    data = build_extremal5()
+    x8, u8 = np.zeros((8, 8)), np.zeros((8, 8))
+    x8[:5, :5], u8[:5, :5] = data["x"], data["u"]
+    zs8 = compute_zero_structure(x8, TOL)
+    anchors = [_anchor(name)[3] for name in SCENARIOS]
+    anchors.append(build_system(zs8, decompose_dual(u8, zs8, TOL)))
+    for sys in anchors:
+        for z in [sys.anchor] + [rng.standard_normal(sys.size) for _ in range(5)]:
+            assert np.array_equal(jacobian(sys, z), _jacobian_loop(sys, z))
 
 
 def test_jacobian_zero_point_is_zero():
@@ -251,6 +290,47 @@ def test_verify_backward_flags_non_copositive_x():
         reports = verify_backward([x_eps], [[w_eps]], zs, dd, TOL)
         assert not reports[0]["copositive"]
         assert reports[0]["copositivity_witness"] is not None
+
+
+def _w_block_reference(w, gens, order, tol):
+    # reference: CP membership, then the doubly-nonnegative fallback for
+    # small blocks, then the doubly-nonnegative test again for the record
+    cert = cp_membership(w, gens, tol)
+    in_cp = bool(cert.member)
+    if not in_cp and order <= 4:
+        in_cp = doubly_nonnegative(w, tol)
+    return {"in_cp": in_cp, "nnls_residual": cert.residual,
+            "doubly_nonnegative": doubly_nonnegative(w, tol)}
+
+
+def test_verify_backward_tests_each_block_doubly_nonnegative_once(monkeypatch):
+    cases = [("pp4z-cond-ii", pp4z_cond_ii_path), ("pp4z-j", pp4z_j_path),
+             ("pp4z-jjj", pp4z_jjj_path)]
+    expected, points = [], []
+    for name, path in cases:
+        data, zs, dd, sys = _anchor(name)
+        _, ws0 = sys.split(sys.anchor)
+        xs = [data["x"]] + [path(eps)[0] for eps in (0.2, 0.1)]
+        wss = [ws0] + [[path(eps)[1]] for eps in (0.2, 0.1)]
+        points.append((xs, wss, zs, dd))
+        for ws in wss:
+            expected.append([
+                {"block": s + 1,
+                 **_w_block_reference(w, zs.block_vectors(s), len(sys.supports[s]), TOL)}
+                for s, w in enumerate(ws)])
+    calls = []
+
+    def counted(u, tol):
+        calls.append(1)
+        return doubly_nonnegative(u, tol)
+
+    monkeypatch.setattr(cones, "doubly_nonnegative", counted)
+    monkeypatch.setattr(defeq, "doubly_nonnegative", counted)
+    got = [r["w_blocks"] for xs, wss, zs, dd in points
+           for r in verify_backward(xs, wss, zs, dd, TOL)]
+    assert got == expected
+    assert any(not b["in_cp"] for blocks in got for b in blocks)
+    assert len(calls) == sum(len(blocks) for blocks in got)
 
 
 def test_verify_backward_rejects_equation_violation():

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -11,6 +12,9 @@ from copcomp.symcore import (
     Tolerances,
     check_symmetric,
     kernel_basis,
+    null_eigenvalues,
+    numerical_rank,
+    outer_columns,
     psd_status,
     rank_of_set,
     rank_of_vectors,
@@ -42,6 +46,12 @@ def test_tolerances_validation():
         Tolerances(psd_tol=-1e-9)
 
 
+def test_slack_is_ten_zero_tol_and_not_an_option():
+    assert Tolerances().slack == 10 * 1e-9
+    assert Tolerances(zero_tol=3e-7).slack == 10 * 3e-7
+    assert "slack" not in {f.name for f in dataclasses.fields(Tolerances)}
+
+
 def test_check_symmetric_rejects_asymmetry():
     a = np.array([[1.0, 2.0], [2.0 + 1e-6, 1.0]])
     with pytest.raises(SymMatError):
@@ -55,6 +65,13 @@ def test_check_symmetric_rejects_asymmetry():
 def test_svec_pairs_order():
     assert svec_pairs(3) == [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]
     assert svec_dim(5) == 15
+
+
+def test_svec_pairs_match_the_pair_loop():
+    for p in range(13):
+        pairs = svec_pairs(p)
+        assert pairs == [(k, l) for k in range(p) for l in range(k, p)]
+        assert all(type(k) is int and type(l) is int for k, l in pairs)
 
 
 def test_svec_smat_roundtrip():
@@ -143,6 +160,75 @@ def test_rank_utilities():
     assert rank_of_set(mats + [mats[0] + mats[1]], tol) == 2
 
 
+def _null_scalar(lam, tol):
+    # reference: kernel_basis's former rule on one spectrum
+    scale = max(1.0, float(np.max(np.abs(lam))) if lam.size else 1.0)
+    return np.abs(lam) <= tol.psd_tol * scale
+
+
+def _null_batched(lam, tol):
+    # reference: the zero-vertex sweep's former rule, one spectrum per row
+    scale = np.maximum(1.0, np.max(np.abs(lam), axis=1, keepdims=True))
+    return np.abs(lam) <= tol.psd_tol * scale
+
+
+def test_null_eigenvalues_match_the_inline_rules():
+    rng = np.random.default_rng(20261019)
+    tol = Tolerances(psd_tol=1e-6)
+    spectra = [np.zeros(0), np.zeros(4), np.array([-1e-6, 1e-6, 2.0]),
+               np.array([1e-6, 1e-6 * (1 + 1e-12), 0.5])]
+    for _ in range(50):
+        lam = rng.standard_normal(int(rng.integers(1, 7)))
+        lam *= 10.0 ** rng.uniform(-8, 3)
+        lam[rng.random(lam.size) < 0.3] *= 1e-7
+        spectra.append(lam)
+    for lam in spectra:
+        assert np.array_equal(null_eigenvalues(lam, tol), _null_scalar(lam, tol))
+    for m, k in ((0, 3), (1, 1), (7, 4), (30, 6)):
+        lam = rng.standard_normal((m, k)) * 10.0 ** rng.uniform(-8, 3, (m, 1))
+        lam[rng.random((m, k)) < 0.3] *= 1e-6
+        if m:
+            lam[0] = 0.0
+        assert np.array_equal(null_eigenvalues(lam, tol), _null_batched(lam, tol))
+
+
+def _rank_of_vectors_rule(sv, tol):
+    # reference: rank_of_vectors's former inline rule
+    if sv.size == 0 or sv[0] == 0.0:
+        return 0
+    return int(np.sum(sv > tol.rank_tol * sv[0]))
+
+
+def _rank_certificate_rule(sv, tol):
+    # reference: rank_certificate's former inline rule (sv nonempty)
+    return int(np.sum(sv > tol.rank_tol * sv[0])) if sv[0] > 0 else 0
+
+
+def test_numerical_rank_matches_the_inline_rules():
+    rng = np.random.default_rng(20261020)
+    tol = Tolerances(rank_tol=1e-6)
+    cases = [np.zeros(0), np.zeros(3), np.array([1.0, 1e-6, 1e-6 * (1 - 1e-12)])]
+    for _ in range(50):
+        a = rng.standard_normal((int(rng.integers(1, 6)), int(rng.integers(1, 6))))
+        a[:, 0] *= 10.0 ** rng.uniform(-9, 0)
+        cases.append(np.linalg.svd(a, compute_uv=False))
+    for sv in cases:
+        assert numerical_rank(sv, tol) == _rank_of_vectors_rule(sv, tol)
+        if sv.size:
+            assert numerical_rank(sv, tol) == _rank_certificate_rule(sv, tol)
+
+
+def test_outer_columns_match_column_stack_bit_for_bit():
+    rng = np.random.default_rng(20261021)
+    for p, n in ((1, 1), (3, 1), (3, 6), (5, 31), (12, 7)):
+        gens = [rng.random(p) * 10.0 ** rng.uniform(-3, 3) for _ in range(n)]
+        ref = np.column_stack([np.outer(g, g).ravel() for g in gens])
+        for form in (gens, np.array(gens)):
+            cols = outer_columns(form)
+            assert cols.flags["C_CONTIGUOUS"]
+            assert np.array_equal(cols, ref)
+
+
 def test_kernel_basis():
     tol = Tolerances()
     x = np.diag([1.0, 0.0, 2.0])
@@ -168,6 +254,17 @@ def test_symmat_from_json_rejects_entries_that_overflow_when_symmetrized():
         symmat_from_json({"p": 2, "rows": rows})
     rows[0][0] = 8e307  # 2 * 8e307 is still finite
     assert symmat_from_json({"p": 2, "rows": rows})[0, 0] == 8e307
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 1e308])
+def test_symmetrize_rejects_non_finite_and_overflowing_entries(bad):
+    a = np.array([[1.0, -1.0], [-1.0, 1.0]])
+    a[0, 0] = bad
+    with pytest.raises(SymMatError):
+        symmetrize(a)
+    a[0, 0] = 8e307  # 2 * 8e307 is still finite
+    assert symmetrize(a)[0, 0] == 8e307
 
 
 def test_symmetrize_rejects_nonsquare():

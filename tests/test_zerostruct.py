@@ -13,7 +13,7 @@ from copcomp.paperlab import (
     build_s4,
     extremal5_matrix,
 )
-from copcomp.symcore import Tolerances
+from copcomp.symcore import SymMatError, Tolerances
 from copcomp.zerostruct import (
     ZeroStructureError,
     basis_subset,
@@ -21,6 +21,7 @@ from copcomp.zerostruct import (
     compute_zero_structure,
     enumerate_zero_vertices,
     pair_index_set,
+    pair_sums,
     partition_blocks,
     support_of,
 )
@@ -32,6 +33,30 @@ RNG = np.random.default_rng(20240819)
 def test_pair_index_set():
     assert pair_index_set([2, 0]) == [(0, 0), (0, 2), (2, 2)]
     assert len(pair_index_set(range(4))) == 10
+
+
+def test_pair_sums_match_the_pair_loop_bit_for_bit():
+    rng = np.random.default_rng(20261022)
+    vectors = list(rng.random((6, 5)))
+    for indices in ([], [3], [4, 0, 2], range(6)):
+        ref = [vectors[a] + vectors[b] for a, b in pair_index_set(indices)]
+        got = pair_sums(vectors, indices)
+        assert len(got) == len(ref)
+        assert all(np.array_equal(g, r) for g, r in zip(got, ref))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("entry", [1e308, np.nan], ids=["1e308", "nan"])
+@pytest.mark.parametrize("entry_point", [is_copositive, compute_zero_structure])
+def test_entry_points_reject_non_finite_symmetrization(entry_point, entry):
+    # unchecked, X + X' overflows to inf and the batched SVD of the
+    # copositivity sweep does not return
+    x = build_s4()["x"].copy()
+    x[0, 0] = entry
+    with pytest.raises(SymMatError):
+        entry_point(x, TOL)
+    x[0, 0] = 8e307  # 2 * 8e307 is still finite
+    entry_point(x, TOL)
 
 
 def test_identity_has_empty_zero_set():
