@@ -9,6 +9,7 @@ relative to a supplied finite generator set by nonnegative least squares.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,7 +29,7 @@ class CopVerdict:
     member: bool
     min_value: float
     argmin: np.ndarray
-    # non-membership: witness simplex vector; membership: per-support facts
+    # simplex vector with t'Xt < -zero_tol; None for a member
     witness: np.ndarray | None = None
     supports_checked: int = 0
 
@@ -74,18 +75,22 @@ def is_copositive(x: np.ndarray, tol: Tolerances = Tolerances()) -> CopVerdict:
     iff the minimum is >= -zero_tol.  A negative diagonal entry short
     circuits with a coordinate-vector witness.
 
-    On each face I the KKT system 2 X_I t = lam * 1, sum(t) = 1 is solved
-    by minimum-norm least squares (all faces of one size in one batched
-    SVD, with lstsq's cutoff eps * (k + 1) * sigma_max); a consistent
-    solution that is nonnegative within zero_tol is a candidate of value
-    t'Xt.  A rank-deficient face whose least-squares solution is not
-    nonnegative needs no search of its KKT solution set: lam/2 = t'X_I t
-    is the same at every KKT point, and a feasible one can be moved along
-    the kernel to a vertex of the feasible polytope, which lies on a
+    A face I is solved only when its KKT system 2 X_I t = lam * 1,
+    sum(t) = 1 has a unique solution: its bordered matrix has full
+    numerical rank (smallest singular value above lstsq's cutoff
+    eps * (k + 1) * sigma_max, all faces of one size in one batched SVD),
+    and the solution is read from the SVD by plain division.  A solution
+    that is nonnegative within zero_tol is a candidate of value t'Xt,
+    evaluated on X itself.  A rank-deficient face needs no solve: lam/2 =
+    t'X_I t is the same at every KKT point, and a feasible one can be moved
+    along the kernel to a vertex of the feasible polytope, which lies on a
     smaller face.  Repeating the step ends on a face whose KKT system has
-    a single, strictly positive solution, which that face's least-squares
-    solve already records with the same value, so no feasibility LP on
-    the larger face could lower the minimum.
+    a single, strictly positive solution, so that face records the same
+    value and no minimum is lost.
+
+    The KKT matrices are built from X / 2^e, with 2^e the power of two
+    nearest max|X|, so the rank test does not depend on the scale of X
+    (scaling by a power of two is exact, and unit-scale X is not scaled).
 
     ``argmin`` is the first minimizer in support order (by size, then
     lexicographic).  When minimizers tie, rounding can decide which one
@@ -107,37 +112,31 @@ def is_copositive(x: np.ndarray, tol: Tolerances = Tolerances()) -> CopVerdict:
         return CopVerdict(member=False, min_value=best_val, argmin=best_t,
                           witness=best_t, supports_checked=0)
 
+    amax = float(np.max(np.abs(x)))
+    e = round(math.log2(amax)) if amax > 0.0 else 0
     checked = p  # the size-1 faces are the diagonal
     for size in range(2, p + 1):
         supports, xi = principal_blocks(x, size)
         checked += len(supports)
         a = np.zeros((len(supports), size + 1, size + 1))
-        a[:, :size, :size] = 2.0 * xi
+        a[:, :size, :size] = np.ldexp(xi, 1 - e)
         a[:, :size, size] = -1.0
         a[:, size, :size] = 1.0
         u, sig, vt = np.linalg.svd(a)
-        cutoff = np.finfo(float).eps * (size + 1) * sig[:, :1]
+        full = sig[:, -1] > np.finfo(float).eps * (size + 1) * sig[:, 0]
         # b = e_last, so U'b is the last row of U
-        coef = np.divide(u[:, size, :], sig, out=np.zeros_like(sig),
-                         where=sig > cutoff)
-        sol = np.einsum("mij,mi->mj", vt, coef)
-        resid = np.einsum("mij,mj->mi", a, sol)
-        resid[:, size] -= 1.0
-        ti = sol[:, :size]
-        ok = ((np.max(np.abs(resid), axis=1) <= 1e-8)
-              & (np.min(ti, axis=1) >= -tol.zero_tol))
-        ti = np.clip(ti, 0.0, None)
-        s = ti.sum(axis=1)
-        ok &= s > 0.0
+        sol = np.einsum("mij,mi->mj", vt[full], u[full, size, :] / sig[full])
+        ok = np.min(sol[:, :size], axis=1) >= -tol.zero_tol
         if not ok.any():
             continue
-        ti = ti[ok] / s[ok, None]
-        vals = np.einsum("mi,mij,mj->m", ti, xi[ok], ti)
+        ti = np.clip(sol[ok, :size], 0.0, None)
+        ti /= ti.sum(axis=1, keepdims=True)
+        vals = np.einsum("mi,mij,mj->m", ti, xi[full][ok], ti)
         m = int(np.argmin(vals))
         if vals[m] < best_val:
             best_val = float(vals[m])
             best_t = np.zeros(p)
-            best_t[supports[ok][m]] = ti[m]
+            best_t[supports[full][ok][m]] = ti[m]
     member = best_val >= -tol.zero_tol
     witness = None if member else best_t
     return CopVerdict(member=member, min_value=best_val, argmin=best_t,

@@ -64,13 +64,14 @@ def symmetrize(a) -> np.ndarray:
 
 
 def check_symmetric(a, tol: float = 1e-12) -> np.ndarray:
-    """Symmetrize ``a`` after checking its asymmetry does not exceed ``tol``."""
+    """Symmetrize ``a`` if its asymmetry is at most tol * max(1, max|a|)."""
     sym = symmetrize(a)
     a = np.asarray(a, dtype=float)
     with np.errstate(over="ignore"):
         asym = np.max(np.abs(a - a.T)) if a.size else 0.0
-    if asym > tol:
-        raise SymMatError(f"matrix asymmetry {asym:.3e} exceeds {tol:.3e}")
+    bound = tol * np.max(np.abs(a), initial=1.0)
+    if asym > bound:
+        raise SymMatError(f"matrix asymmetry {asym:.3e} exceeds {bound:.3e}")
     return sym
 
 

@@ -172,6 +172,17 @@ def test_analyze_huge_finite_entry_exit_2(tmp_path, capsys):
     assert "input error" in capsys.readouterr().err
 
 
+def test_analyze_scaled_input_one_ulp_from_symmetric_is_not_input_error(tmp_path, capsys):
+    # the s4 X times 1e6 with x12 one ulp off: asymmetry 1.164e-10, far
+    # below the relative gate 1e-12 * max|x| = 2e-6
+    x = 1e6 * build_s4()["x"]
+    x[0, 1] = np.nextafter(x[0, 1], np.inf)
+    rc = main(["analyze", _write(tmp_path, "x.json", x)])
+    captured = capsys.readouterr()
+    assert rc != 2, captured.err
+    assert "input error" not in captured.err
+
+
 def test_analyze_order_above_exact_limit_exit_2(tmp_path, capsys):
     path = _write(tmp_path, "big.json", np.eye(EXACT_COPOSITIVITY_LIMIT + 1))
     rc = main(["analyze", path])

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from copcomp.cli import main
 from copcomp.cones import (
     EXACT_COPOSITIVITY_LIMIT,
     OrderLimitError,
@@ -13,7 +14,7 @@ from copcomp.cones import (
     simplex_min_oracle,
 )
 from copcomp.paperlab import build_extremal5
-from copcomp.symcore import Tolerances, symmetrize
+from copcomp.symcore import Tolerances, save_symmat, symmetrize
 
 TOL = Tolerances()
 RNG = np.random.default_rng(20240818)
@@ -217,3 +218,89 @@ def test_minimum_on_face_whose_larger_faces_are_infeasible():
     assert v.member
     assert abs(v.min_value - 11.0 / 9.0) <= 1e-12
     assert np.max(np.abs(v.argmin - [0.0, 5.0 / 9.0, 0.0, 4.0 / 9.0])) <= 1e-12
+
+
+SCALES = (2.0 ** -20, 1e4, 1e8)
+
+
+def _generic_matrices(n, seed):
+    """Seeded symmetric matrices X = A + mu * J (J all ones, so every value
+    t'Xt on the simplex moves by mu) with a positive diagonal: Gaussian A
+    shifted so that the simplex minimum lands anywhere in [-0.5, 0.5], both
+    signs and indefinite, plus PSD-plus-nonnegative and small-integer ones."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for i in range(n):
+        p = int(rng.integers(2, 7))
+        if i % 3 == 2:
+            a = rng.integers(-3, 4, (p, p)).astype(float)
+            a = a + a.T
+            np.fill_diagonal(a, rng.integers(1, 4, p))
+            out.append(a)
+            continue
+        if i % 3 == 1:
+            g = rng.standard_normal((p, p))
+            n_ = rng.uniform(0.0, 1.0, (p, p))
+            out.append(g @ g.T / p + 0.5 * (n_ + n_.T))
+            continue
+        a = rng.standard_normal((p, p))
+        a = 0.5 * (a + a.T)
+        np.fill_diagonal(a, np.abs(np.diag(a)) + 0.1)
+        shift = rng.uniform(-0.5, 0.5) - is_copositive(a, TOL).min_value
+        out.append(a + shift * np.ones((p, p)))
+    return out
+
+
+def test_scaled_order_two_counterexample():
+    x = 1e8 * np.array([[1.0, -2.0], [-2.0, 1.0]])
+    v = is_copositive(x, TOL)
+    assert not v.member
+    assert v.min_value == pytest.approx(-5e7, rel=1e-12)
+    assert np.allclose(v.witness, [0.5, 0.5])
+
+
+def test_scaled_order_two_counterexample_cli_exit_1(tmp_path, capsys):
+    path = tmp_path / "x.json"
+    save_symmat(path, 1e8 * np.array([[1.0, -2.0], [-2.0, 1.0]]))
+    rc = main(["analyze", str(path)])
+    assert rc == 1
+    assert "X_NOT_COPOSITIVE" in capsys.readouterr().out
+
+
+def test_min_value_scales_with_x():
+    # the KKT matrices are built at unit scale, so the face solutions (and
+    # with them min_value and member) do not depend on the scale of X,
+    # apart from the absolute zero_tol in the member threshold
+    for x in _generic_matrices(150, 7001):
+        ref = is_copositive(x, TOL)
+        for c in SCALES:
+            v = is_copositive(c * x, TOL)
+            assert abs(v.min_value - c * ref.min_value) <= 1e-9 * abs(c * ref.min_value), (x, c)
+            if abs(c * ref.min_value) > TOL.slack:
+                assert v.member == ref.member, (x, c)
+
+
+def _kaplan_copositive(x):
+    """Kaplan (LAA 313, 2000): X is copositive iff no principal submatrix
+    has an eigenvector v > 0 whose eigenvalue is negative."""
+    p = x.shape[0]
+    for size in range(1, p + 1):
+        idx = np.array(list(itertools.combinations(range(p), size)))
+        lam, vec = np.linalg.eigh(x[idx[:, :, None], idx[:, None, :]])
+        positive = np.all(vec > 0.0, axis=1) | np.all(vec < 0.0, axis=1)
+        if np.any(positive & (lam < 0.0)):
+            return False
+    return True
+
+
+def test_member_agrees_with_kaplan_criterion_at_every_scale():
+    cases = [x for x in _generic_matrices(400, 7002)
+             if abs(is_copositive(x, TOL).min_value) >= 1e-6 * np.max(np.abs(x))]
+    assert len(cases) >= 300
+    kinds = set()
+    for x in cases:
+        for c in (1.0,) + SCALES:
+            want = _kaplan_copositive(c * x)
+            assert is_copositive(c * x, TOL).member == want, (x, c)
+            kinds.add(want)
+    assert kinds == {True, False}

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from copcomp.paperlab import build_s4
 from copcomp.symcore import (
     NOT_PSD,
     PSD_BOUNDARY,
@@ -60,6 +61,18 @@ def test_check_symmetric_rejects_asymmetry():
     b = np.array([[1.0, 2.0], [2.0 + 1e-13, 1.0]])
     out = check_symmetric(b)
     assert np.allclose(out, out.T)
+
+
+def test_check_symmetric_gate_is_relative_to_the_entries():
+    # the s4 X times 1e6 with x12 moved by one ulp: |x12 - x21| = 1.164e-10
+    x = 1e6 * build_s4()["x"]
+    x[0, 1] = np.nextafter(x[0, 1], np.inf)
+    out = symmat_from_json(symmat_to_json(x))
+    assert np.array_equal(out, out.T)
+    # the gate scales with max|a|: 1e-6 off at 1e6 scale is still refused
+    x[0, 1] += 1e-6 * 1e6
+    with pytest.raises(SymMatError, match="exceeds 2.000e-06"):
+        check_symmetric(x)
 
 
 def test_svec_pairs_order():
