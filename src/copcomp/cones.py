@@ -15,9 +15,10 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import nnls
 
-from .symcore import NOT_PSD, Tolerances, outer_columns, psd_status, symmetrize
+from .symcore import NOT_PSD, SymMatError, Tolerances, outer_columns, psd_status, symmetrize
 
 EXACT_COPOSITIVITY_LIMIT = 12
+FACE_CHUNK = 128
 
 
 class OrderLimitError(ValueError):
@@ -32,6 +33,7 @@ class CopVerdict:
     # simplex vector with t'Xt < -zero_tol; None for a member
     witness: np.ndarray | None = None
     supports_checked: int = 0
+    zeros: list = field(default_factory=list)  # candidate zero vertices
 
     def to_json(self) -> dict:
         out = {
@@ -61,6 +63,11 @@ class CpCertificate:
         return u
 
 
+def zero_bound(tol: Tolerances) -> float:
+    """Bound on |t'Xt| under which a simplex vector t is a zero of X."""
+    return min(tol.slack, 0.99)
+
+
 def principal_blocks(x: np.ndarray, size: int):
     """Every support of the given size, in itertools order, as an (m, size)
     index array, with the stacked principal submatrices X_I, (m, size, size)."""
@@ -78,7 +85,7 @@ def is_copositive(x: np.ndarray, tol: Tolerances = Tolerances()) -> CopVerdict:
     A face I is solved only when its KKT system 2 X_I t = lam * 1,
     sum(t) = 1 has a unique solution: its bordered matrix has full
     numerical rank (smallest singular value above lstsq's cutoff
-    eps * (k + 1) * sigma_max, all faces of one size in one batched SVD),
+    eps * (k + 1) * sigma_max, up to FACE_CHUNK faces in one batched SVD),
     and the solution is read from the SVD by plain division.  A solution
     that is nonnegative within zero_tol is a candidate of value t'Xt,
     evaluated on X itself.  A rank-deficient face needs no solve: lam/2 =
@@ -87,6 +94,9 @@ def is_copositive(x: np.ndarray, tol: Tolerances = Tolerances()) -> CopVerdict:
     smaller face.  Repeating the step ends on a face whose KKT system has
     a single, strictly positive solution, so that face records the same
     value and no minimum is lost.
+
+    Solved faces with a strictly positive solution (above zero_tol) and
+    |t'Xt| <= zero_bound(tol), and the e_k of zero diagonals, go to ``zeros``.
 
     The KKT matrices are built from X / 2^e, with 2^e the power of two
     nearest max|X|, so the rank test does not depend on the scale of X
@@ -103,6 +113,8 @@ def is_copositive(x: np.ndarray, tol: Tolerances = Tolerances()) -> CopVerdict:
             f"exact copositivity limited to p <= {EXACT_COPOSITIVITY_LIMIT} "
             f"(got {p}); use simplex_min_oracle for an upper bound"
         )
+    if p == 0:
+        raise SymMatError("copositivity needs a matrix of order p >= 1, got order 0")
     diag = np.diag(x)
     k = int(np.argmin(diag))
     best_val = float(diag[k])
@@ -112,35 +124,39 @@ def is_copositive(x: np.ndarray, tol: Tolerances = Tolerances()) -> CopVerdict:
         return CopVerdict(member=False, min_value=best_val, argmin=best_t,
                           witness=best_t, supports_checked=0)
 
+    bound = zero_bound(tol)
+    zeros = list(np.eye(p)[np.abs(diag) <= bound])
     amax = float(np.max(np.abs(x)))
     e = round(math.log2(amax)) if amax > 0.0 else 0
-    checked = p  # the size-1 faces are the diagonal
     for size in range(2, p + 1):
-        supports, xi = principal_blocks(x, size)
-        checked += len(supports)
-        a = np.zeros((len(supports), size + 1, size + 1))
-        a[:, :size, :size] = np.ldexp(xi, 1 - e)
-        a[:, :size, size] = -1.0
-        a[:, size, :size] = 1.0
-        u, sig, vt = np.linalg.svd(a)
-        full = sig[:, -1] > np.finfo(float).eps * (size + 1) * sig[:, 0]
-        # b = e_last, so U'b is the last row of U
-        sol = np.einsum("mij,mi->mj", vt[full], u[full, size, :] / sig[full])
-        ok = np.min(sol[:, :size], axis=1) >= -tol.zero_tol
-        if not ok.any():
-            continue
-        ti = np.clip(sol[ok, :size], 0.0, None)
-        ti /= ti.sum(axis=1, keepdims=True)
-        vals = np.einsum("mi,mij,mj->m", ti, xi[full][ok], ti)
-        m = int(np.argmin(vals))
-        if vals[m] < best_val:
-            best_val = float(vals[m])
-            best_t = np.zeros(p)
-            best_t[supports[full][ok][m]] = ti[m]
+        all_supports, all_xi = principal_blocks(x, size)
+        # FACE_CHUNK faces at a time cap the SVD's memory (924 faces of size 6 at p = 12)
+        for lo in range(0, len(all_supports), FACE_CHUNK):
+            supports, xi = all_supports[lo:lo + FACE_CHUNK], all_xi[lo:lo + FACE_CHUNK]
+            a = np.zeros((len(supports), size + 1, size + 1))
+            a[:, :size, :size] = np.ldexp(xi, 1 - e)
+            a[:, :size, size] = -1.0
+            a[:, size, :size] = 1.0
+            u, sig, vt = np.linalg.svd(a)
+            full = sig[:, -1] > np.finfo(float).eps * (size + 1) * sig[:, 0]
+            # b = e_last, so U'b is the last row of U
+            sol = np.einsum("mij,mi->mj", vt[full], u[full, size, :] / sig[full])
+            ok = np.min(sol[:, :size], axis=1) >= -tol.zero_tol
+            if not ok.any():
+                continue
+            ti = np.clip(sol[ok, :size], 0.0, None)
+            ti /= ti.sum(axis=1, keepdims=True)
+            vals = np.einsum("mi,mij,mj->m", ti, xi[full][ok], ti)
+            rows = np.zeros((len(ti), p))
+            np.put_along_axis(rows, supports[full][ok], ti, axis=1)
+            zeros.extend(rows[(np.min(ti, axis=1) > tol.zero_tol) & (np.abs(vals) <= bound)])
+            m = int(np.argmin(vals))
+            if vals[m] < best_val:
+                best_val, best_t = float(vals[m]), rows[m].copy()
     member = best_val >= -tol.zero_tol
     witness = None if member else best_t
     return CopVerdict(member=member, min_value=best_val, argmin=best_t,
-                      witness=witness, supports_checked=checked)
+                      witness=witness, supports_checked=2 ** p - 1, zeros=zeros)
 
 
 def _simplex_project(v: np.ndarray) -> np.ndarray:

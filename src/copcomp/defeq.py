@@ -16,6 +16,7 @@ import numpy as np
 from .cones import cp_membership, doubly_nonnegative, is_copositive
 from .complement import FAIL, DualDecomposition, embed, face_nnls, restrict
 from .symcore import (
+    NOT_PSD,
     PSD_INTERIOR,
     Tolerances,
     numerical_rank,
@@ -300,8 +301,8 @@ def check_p23101(x: np.ndarray, u: np.ndarray, tol: Tolerances = Tolerances()):
     verdict, _ = psd_status(x + u, tol)
     if verdict != PSD_INTERIOR:
         return NOT_APPLICABLE
-    x_psd = psd_status(x, tol)[0] != "NOT_PSD"
-    u_psd = psd_status(u, tol)[0] != "NOT_PSD"
+    x_psd = psd_status(x, tol)[0] != NOT_PSD
+    u_psd = psd_status(u, tol)[0] != NOT_PSD
     product_zero = bool(np.linalg.norm(u @ x) <= tol.slack)
     return {"x_psd": x_psd, "u_psd": u_psd, "product_zero": product_zero}
 

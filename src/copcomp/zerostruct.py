@@ -11,8 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cones import CopVerdict, is_copositive, principal_blocks
-from .symcore import Tolerances, null_eigenvalues, rank_of_vectors, symmetrize
+from .cones import CopVerdict, is_copositive, zero_bound
+from .symcore import Tolerances, rank_of_vectors, symmetrize
 
 
 class ZeroStructureError(ValueError):
@@ -74,24 +74,27 @@ def support_of(t: np.ndarray, tol: Tolerances) -> tuple[int, ...]:
 
 
 def _is_zero_with_kkt(x: np.ndarray, t: np.ndarray, bound: float) -> bool:
-    if abs(float(t @ x @ t)) > bound:
-        return False
-    return bool(np.min(x @ t) >= -bound)
+    return abs(float(t @ x @ t)) <= bound and bool(np.min(x @ t) >= -bound)
 
 
 def enumerate_zero_vertices(x: np.ndarray, tol: Tolerances = Tolerances(),
                             verdict: CopVerdict | None = None) -> list[np.ndarray]:
     """Vertices of conv T_a(X) for a copositive X.
 
-    For each support I the zeros with full support I lie in the kernel of
-    the principal submatrix X_I; a vertex with that exact support exists
-    iff the kernel is one-dimensional with a strictly positive generator.
-    All supports of one size share one stacked ``eigh`` call.
+    For a zero tau of X with support I these are equivalent: (a) tau is a
+    vertex; (b) ker X_I = span(v), v > 0; (c) the KKT system 2 X_I t = lam 1,
+    1't = 1 has a unique solution, strictly positive and of value 0.  So the
+    vertices are the faces of (c) that :func:`is_copositive` keeps from its
+    sweep, ``verdict.zeros``, each re-checked here against ``x``.
 
-    Every candidate is a vertex, so no hull test is needed: if
-    t = sum lam_j t_j (lam_j > 0, t_j zeros of X), then supp(t_j) is in I,
-    X t_j >= 0 (KKT at a zero) and (X t)_I = 0 give (X t_j)_I = 0, so
-    (t_j)_I lies in ker X_I = span(v) and t_j = t on the simplex.
+    (a) => (b): X tau >= 0 and tau'X tau = 0 give X_I tau_I = 0; a w != 0
+    in ker X_I with 1'w = 0 would make tau the midpoint of zeros tau +- eps w.
+    (b) => (a): if tau = sum lam_j t_j (lam_j > 0, t_j zeros), supp(t_j) is
+    in I, and X t_j >= 0 with (X tau)_I = 0 gives (X t_j)_I = 0: t_j = tau.
+    (b) <=> (c): two solutions differ by some (w, mu), 2 X_I w = mu 1,
+    1'w = 0.  Under (b), v'(2 X_I w) = 0 gives mu = 0, so w is in span(v),
+    w = 0, and v / 1'v solves it with lam = 0.  Under (c), lam = 2 t'X_I t
+    = 0 gives X_I t = 0, and a w in ker X_I with 1'w = 0 would give t + w.
 
     ``verdict`` is ``is_copositive(x, tol)`` when the caller already holds
     it; it is computed here when absent.
@@ -99,29 +102,18 @@ def enumerate_zero_vertices(x: np.ndarray, tol: Tolerances = Tolerances(),
     x = symmetrize(x)
     if verdict is None:
         verdict = is_copositive(x, tol)
+    if len(verdict.argmin) != x.shape[0]:
+        raise ValueError(f"verdict of order {len(verdict.argmin)} for x of order {x.shape[0]}")
     if not verdict.member:
         raise ZeroStructureError(
             f"matrix is not copositive (min {verdict.min_value:.3e}); "
             "zero structure undefined"
         )
-    p = x.shape[0]
     candidates: list[np.ndarray] = []
-    for size in range(1, p + 1):
-        supports, xi = principal_blocks(x, size)
-        lam, vecs = np.linalg.eigh(xi)
-        null = null_eigenvalues(lam, tol)
-        for m in np.nonzero(np.count_nonzero(null, axis=1) == 1)[0]:
-            v = vecs[m][:, np.argmax(null[m])]
-            if v.sum() < 0:
-                v = -v
-            if np.min(v) <= tol.zero_tol:
-                continue  # kernel vector not strictly positive on the support
-            t = np.zeros(p)
-            t[supports[m]] = v / v.sum()
-            if not _is_zero_with_kkt(x, t, min(tol.slack, 0.99)):
-                continue
-            if all(np.linalg.norm(t - c, ord=np.inf) > tol.zero_tol for c in candidates):
-                candidates.append(t)
+    for t in verdict.zeros:
+        if _is_zero_with_kkt(x, t, zero_bound(tol)) and all(
+                np.linalg.norm(t - c, ord=np.inf) > tol.zero_tol for c in candidates):
+            candidates.append(t)
     candidates.sort(key=lambda v: tuple(np.round(v, 12)))
     return candidates
 
@@ -178,8 +170,7 @@ def partition_blocks(vertices: list, contact_sets: list, tol: Tolerances = Toler
     blocks = _maximal_cliques(n, adj) if n else []
 
     # condition a): every index covered
-    covered = set().union(*[set(b) for b in blocks]) if blocks else set()
-    if covered != set(range(n)):
+    if set().union(*blocks) != set(range(n)):
         raise ZeroStructureError("block cover misses vertex indices (condition a)")
     # condition b): union of supports inside every member's contact set
     for b in blocks:
@@ -240,18 +231,9 @@ def compute_zero_structure(x: np.ndarray, tol: Tolerances = Tolerances(),
     vertices = enumerate_zero_vertices(x, tol, verdict)
     contact_sets = [compute_contact_set(x, v, tol) for v in vertices]
     blocks, witnesses = partition_blocks(vertices, contact_sets, tol)
-    supports = []
-    basis = []
-    for b in blocks:
-        union_supp = sorted(set().union(*[set(support_of(vertices[j], tol)) for j in b]))
-        supports.append(tuple(union_supp))
-        basis.append(basis_subset(vertices, b, tol))
-    seen = set()
-    overlap = False
-    for b in blocks:
-        if seen & set(b):
-            overlap = True
-        seen |= set(b)
+    supports = [tuple(sorted(set().union(*(support_of(vertices[j], tol) for j in b))))
+                for b in blocks]
+    basis = [basis_subset(vertices, b, tol) for b in blocks]
     return ZeroStructure(
         x=x,
         vertices=vertices,
@@ -260,5 +242,5 @@ def compute_zero_structure(x: np.ndarray, tol: Tolerances = Tolerances(),
         supports=supports,
         basis=basis,
         cond_c_witnesses=witnesses,
-        overlapping_blocks=overlap,
+        overlapping_blocks=sum(map(len, blocks)) > len(set().union(*blocks)),
     )

@@ -200,7 +200,7 @@ def _padded_hildebrand(p):
 
 def test_analyze_sweeps_supports_once_without_face_lps(tmp_path, capsys,
                                                        monkeypatch):
-    calls = {"is_copositive": 0}
+    calls = {"is_copositive": 0, "principal_blocks": 0}
 
     def counting(name, fn):
         def wrapped(*args, **kwargs):
@@ -211,12 +211,18 @@ def test_analyze_sweeps_supports_once_without_face_lps(tmp_path, capsys,
     sweep = counting("is_copositive", cones.is_copositive)
     monkeypatch.setattr(cli, "is_copositive", sweep)
     monkeypatch.setattr(zerostruct, "is_copositive", sweep)
+    blocks = counting("principal_blocks", cones.principal_blocks)
+    for module in (cli, complement, cones, zerostruct):
+        if hasattr(module, "principal_blocks"):
+            monkeypatch.setattr(module, "principal_blocks", blocks)
     x, u = _padded_hildebrand(8)
     main(["analyze", _write(tmp_path, "x.json", x),
           _write(tmp_path, "u.json", u), "--json"])
     report = json.loads(capsys.readouterr().out)
     assert report["copositive"]["supports_checked"] == 2 ** 8 - 1
-    assert calls == {"is_copositive": 1}
+    # one block stack per support size 2..8, and no second sweep for the
+    # zero vertices
+    assert calls == {"is_copositive": 1, "principal_blocks": 7}
 
 
 @pytest.mark.parametrize("pair", ["s4", "hildebrand+0_3"])

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from copcomp.cones import is_copositive
+from copcomp.cones import is_copositive, principal_blocks, zero_bound
 from copcomp.paperlab import (
     THETA_STAR,
     build_extremal5,
@@ -13,7 +13,7 @@ from copcomp.paperlab import (
     build_s4,
     extremal5_matrix,
 )
-from copcomp.symcore import SymMatError, Tolerances
+from copcomp.symcore import SymMatError, Tolerances, null_eigenvalues
 from copcomp.zerostruct import (
     ZeroStructureError,
     basis_subset,
@@ -57,6 +57,18 @@ def test_entry_points_reject_non_finite_symmetrization(entry_point, entry):
         entry_point(x, TOL)
     x[0, 0] = 8e307  # 2 * 8e307 is still finite
     entry_point(x, TOL)
+
+
+@pytest.mark.parametrize("entry_point", [is_copositive, compute_zero_structure])
+def test_entry_points_reject_order_zero(entry_point):
+    with pytest.raises(SymMatError, match="order 0"):
+        entry_point(np.zeros((0, 0)), TOL)
+
+
+def test_zero_vertices_reject_a_verdict_of_another_order():
+    verdict = is_copositive(np.eye(2), TOL)
+    with pytest.raises(ValueError, match="order 2 for x of order 3"):
+        enumerate_zero_vertices(np.eye(3), TOL, verdict)
 
 
 def test_identity_has_empty_zero_set():
@@ -277,7 +289,7 @@ def test_sweeps_are_permutation_equivariant(name, seed):
         b[perm] = t
         back.append(b)
     back.sort(key=lambda t: tuple(np.round(t, 12)))
-    # the eigenvectors of a permuted submatrix round differently, so the
+    # the KKT solves of a permuted submatrix round differently, so the
     # coordinates agree to 1e-12 and the supports exactly
     assert len(back) == len(expected)
     for b, t in zip(back, expected):
@@ -336,12 +348,43 @@ def _copositive_corpus():
     return out
 
 
+def _kernel_scan_vertices(x, tol):
+    """Reference zero vertices by a second sweep: the supports I whose
+    X_I has a one-dimensional kernel (one stacked ``eigh`` per size) with a
+    strictly positive generator that is a zero of X satisfying KKT."""
+    p = x.shape[0]
+    bound = zero_bound(tol)
+    out = []
+    for size in range(1, p + 1):
+        supports, xi = principal_blocks(x, size)
+        lam, vecs = np.linalg.eigh(xi)
+        null = null_eigenvalues(lam, tol)
+        for m in np.nonzero(np.count_nonzero(null, axis=1) == 1)[0]:
+            v = vecs[m][:, np.argmax(null[m])]
+            v = -v if v.sum() < 0 else v
+            if np.min(v) <= tol.zero_tol:
+                continue
+            t = np.zeros(p)
+            t[supports[m]] = v / v.sum()
+            if abs(t @ x @ t) <= bound and np.min(x @ t) >= -bound:
+                out.append(t)
+    out.sort(key=lambda v: tuple(np.round(v, 12)))
+    return out
+
+
 def test_zero_vertices_are_hull_vertices():
-    # independent oracle for the vertex argument in enumerate_zero_vertices:
-    # no returned vertex lies in the convex hull of the others
+    # independent oracles for the vertex argument in enumerate_zero_vertices:
+    # the kernel scan finds the same vertices, and no returned vertex lies
+    # in the convex hull of the others; the sweep keeps no other point
     lps = 0
     for x in _copositive_corpus():
-        vertices = enumerate_zero_vertices(x, TOL)
+        verdict = is_copositive(x, TOL)
+        vertices = enumerate_zero_vertices(x, TOL, verdict)
+        assert len(verdict.zeros) == len(vertices)
+        ref = _kernel_scan_vertices(x, TOL)
+        assert len(vertices) == len(ref)
+        for t, r in zip(vertices, ref):
+            assert np.max(np.abs(t - r)) <= 1e-12
         for i, t in enumerate(vertices):
             others = vertices[:i] + vertices[i + 1:]
             if others:
