@@ -95,8 +95,16 @@ def is_copositive(x: np.ndarray, tol: Tolerances = Tolerances()) -> CopVerdict:
     a single, strictly positive solution, so that face records the same
     value and no minimum is lost.
 
-    Solved faces with a strictly positive solution (above zero_tol) and
-    |t'Xt| <= zero_bound(tol), and the e_k of zero diagonals, go to ``zeros``.
+    A solved face's t goes to ``zeros`` when it is strictly positive (above
+    zero_tol), |t'Xt| <= zero_bound(tol), and X_I has exactly one eigenvalue
+    within delta = psd_tol * max(1, sigma_max) of 0, the rule of
+    ``null_eigenvalues``, with sigma_max, sigma_min the bordered matrix's
+    extreme singular values times c = 2^(e-1).  The Rayleigh quotient
+    t'X_I t / t't <= delta shows one; sigma_min > delta shows there is no
+    second, as the eigenvalues of X_I interlace those of the symmetric
+    [[X_I, c 1], [c 1', 0]], whose moduli are the singular values.  With a
+    second, t would be an inner point of an edge of the zero set.  A
+    diagonal entry with |x_kk| <= psd_tol gives e_k.
 
     The KKT matrices are built from X / 2^e, with 2^e the power of two
     nearest max|X|, so the rank test does not depend on the scale of X
@@ -125,9 +133,9 @@ def is_copositive(x: np.ndarray, tol: Tolerances = Tolerances()) -> CopVerdict:
                           witness=best_t, supports_checked=0)
 
     bound = zero_bound(tol)
-    zeros = list(np.eye(p)[np.abs(diag) <= bound])
     amax = float(np.max(np.abs(x)))
     e = round(math.log2(amax)) if amax > 0.0 else 0
+    zeros = list(np.eye(p)[np.abs(diag) <= tol.psd_tol])
     for size in range(2, p + 1):
         all_supports, all_xi = principal_blocks(x, size)
         # FACE_CHUNK faces at a time cap the SVD's memory (924 faces of size 6 at p = 12)
@@ -149,7 +157,11 @@ def is_copositive(x: np.ndarray, tol: Tolerances = Tolerances()) -> CopVerdict:
             vals = np.einsum("mi,mij,mj->m", ti, xi[full][ok], ti)
             rows = np.zeros((len(ti), p))
             np.put_along_axis(rows, supports[full][ok], ti, axis=1)
-            zeros.extend(rows[(np.min(ti, axis=1) > tol.zero_tol) & (np.abs(vals) <= bound)])
+            s = np.ldexp(sig[full][ok], e - 1)  # in the units of X
+            delta = tol.psd_tol * np.maximum(1.0, s[:, 0])
+            ray = vals / np.einsum("mi,mi->m", ti, ti)
+            vertex = (np.min(ti, axis=1) > tol.zero_tol) & (np.abs(vals) <= bound)
+            zeros.extend(rows[vertex & (np.abs(ray) <= delta) & (s[:, -1] > delta)])
             m = int(np.argmin(vals))
             if vals[m] < best_val:
                 best_val, best_t = float(vals[m]), rows[m].copy()

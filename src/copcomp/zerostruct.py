@@ -74,7 +74,9 @@ def support_of(t: np.ndarray, tol: Tolerances) -> tuple[int, ...]:
 
 
 def _is_zero_with_kkt(x: np.ndarray, t: np.ndarray, bound: float) -> bool:
-    return abs(float(t @ x @ t)) <= bound and bool(np.min(x @ t) >= -bound)
+    if abs(float(t @ x @ t)) > bound:
+        return False
+    return bool(np.min(x @ t) >= -bound)
 
 
 def enumerate_zero_vertices(x: np.ndarray, tol: Tolerances = Tolerances(),
@@ -85,7 +87,9 @@ def enumerate_zero_vertices(x: np.ndarray, tol: Tolerances = Tolerances(),
     vertex; (b) ker X_I = span(v), v > 0; (c) the KKT system 2 X_I t = lam 1,
     1't = 1 has a unique solution, strictly positive and of value 0.  So the
     vertices are the faces of (c) that :func:`is_copositive` keeps from its
-    sweep, ``verdict.zeros``, each re-checked here against ``x``.
+    sweep, ``verdict.zeros`` (it tests (b) at psd_tol, see its docstring),
+    each re-checked here against ``x``.  They have distinct supports and
+    entries above zero_tol, so no two coincide.
 
     (a) => (b): X tau >= 0 and tau'X tau = 0 give X_I tau_I = 0; a w != 0
     in ker X_I with 1'w = 0 would make tau the midpoint of zeros tau +- eps w.
@@ -109,11 +113,7 @@ def enumerate_zero_vertices(x: np.ndarray, tol: Tolerances = Tolerances(),
             f"matrix is not copositive (min {verdict.min_value:.3e}); "
             "zero structure undefined"
         )
-    candidates: list[np.ndarray] = []
-    for t in verdict.zeros:
-        if _is_zero_with_kkt(x, t, zero_bound(tol)) and all(
-                np.linalg.norm(t - c, ord=np.inf) > tol.zero_tol for c in candidates):
-            candidates.append(t)
+    candidates = [t for t in verdict.zeros if _is_zero_with_kkt(x, t, zero_bound(tol))]
     candidates.sort(key=lambda v: tuple(np.round(v, 12)))
     return candidates
 
@@ -170,7 +170,8 @@ def partition_blocks(vertices: list, contact_sets: list, tol: Tolerances = Toler
     blocks = _maximal_cliques(n, adj) if n else []
 
     # condition a): every index covered
-    if set().union(*blocks) != set(range(n)):
+    covered = set().union(*[set(b) for b in blocks]) if blocks else set()
+    if covered != set(range(n)):
         raise ZeroStructureError("block cover misses vertex indices (condition a)")
     # condition b): union of supports inside every member's contact set
     for b in blocks:
@@ -231,9 +232,18 @@ def compute_zero_structure(x: np.ndarray, tol: Tolerances = Tolerances(),
     vertices = enumerate_zero_vertices(x, tol, verdict)
     contact_sets = [compute_contact_set(x, v, tol) for v in vertices]
     blocks, witnesses = partition_blocks(vertices, contact_sets, tol)
-    supports = [tuple(sorted(set().union(*(support_of(vertices[j], tol) for j in b))))
-                for b in blocks]
-    basis = [basis_subset(vertices, b, tol) for b in blocks]
+    supports = []
+    basis = []
+    for b in blocks:
+        union_supp = sorted(set().union(*[set(support_of(vertices[j], tol)) for j in b]))
+        supports.append(tuple(union_supp))
+        basis.append(basis_subset(vertices, b, tol))
+    seen = set()
+    overlap = False
+    for b in blocks:
+        if seen & set(b):
+            overlap = True
+        seen |= set(b)
     return ZeroStructure(
         x=x,
         vertices=vertices,
@@ -242,5 +252,5 @@ def compute_zero_structure(x: np.ndarray, tol: Tolerances = Tolerances(),
         supports=supports,
         basis=basis,
         cond_c_witnesses=witnesses,
-        overlapping_blocks=sum(map(len, blocks)) > len(set().union(*blocks)),
+        overlapping_blocks=overlap,
     )

@@ -323,7 +323,7 @@ def _psd_with_positive_kernel(rng, p):
 def _copositive_corpus():
     """Seeded copositive matrices with zeros: low-rank PSD, PSD plus sparse
     nonnegative, small-integer, random-theta Hildebrand padded and permuted,
-    and the six scenario X's."""
+    the six scenario X's, and three with near-null faces."""
     rng = np.random.default_rng(20240824)
     out = [build()["x"] for build in (build_s4, build_extremal5,
                                       build_pp3z_jjj, build_pp4z_j,
@@ -345,6 +345,11 @@ def _copositive_corpus():
         x = _padded(extremal5_matrix(theta), p - 5)
         perm = rng.permutation(p)
         out.append(x[np.ix_(perm, perm)])
+    # X_{123} has eigenvalues (eps, eps, 2 + eps): below psd_tol its KKT point
+    # (1/3, 1/3, 1/3) lies on the edge from (1/2, 1/2, 0) to e3 and is no
+    # vertex; at eps = 5e-9 no eigenvalue is null and there are no vertices
+    for eps in (1e-11, 1e-10, 5e-9):
+        out.append(np.array([[1 + eps, -1, 0], [-1, 1 + eps, 0], [0, 0, eps]]))
     return out
 
 
