@@ -36,18 +36,12 @@ def _digest(*mats) -> str:
     return h.hexdigest()[:16]
 
 
-def _tolerances(args) -> Tolerances:
-    return Tolerances(**{f.name: getattr(args, f.name)
-                         for f in dataclasses.fields(Tolerances)})
-
-
-def cmd_analyze(args) -> int:
+def cmd_analyze(args, tol: Tolerances) -> int:
     # JSONDecodeError, SymMatError, OrderLimitError and LinAlgError are
     # all ValueErrors
     try:
         x = load_symmat(args.x)
         u = load_symmat(args.u) if args.u else None
-        tol = _tolerances(args)
         verdict = is_copositive(x, tol)
     except (OSError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
@@ -148,13 +142,13 @@ def _emit(report: dict, args) -> None:
     print(f"verdict: {report['verdict']}")
 
 
-def cmd_scenario(args) -> int:
+def cmd_scenario(args, tol: Tolerances) -> int:
     if args.action == "list":
         for name in scenario_names():
             print(f"{name}: {SCENARIOS[name].description}")
         return 0
     try:
-        records = run_scenario(args.name, _tolerances(args))
+        records = run_scenario(args.name, tol)
     except KeyError as exc:
         print(f"input error: {exc.args[0]}", file=sys.stderr)
         return 2
@@ -204,11 +198,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Flag values are checked here, before any work is done."""
     args = build_parser().parse_args(argv)
-    if args.command == "scenario" and args.action == "run" and not args.name:
-        print("input error: scenario run requires a name", file=sys.stderr)
+    try:
+        if args.command == "scenario" and args.action == "run" and not args.name:
+            raise ValueError("scenario run requires a name")
+        if args.command == "analyze" and args.grid_depth < 1:
+            raise ValueError(f"--grid-depth must be >= 1, got {args.grid_depth}")
+        tol = Tolerances(**{f.name: getattr(args, f.name)
+                            for f in dataclasses.fields(Tolerances)})
+    except ValueError as exc:
+        print(f"input error: {exc}", file=sys.stderr)
         return 2
-    return args.func(args)
+    return args.func(args, tol)
 
 
 if __name__ == "__main__":

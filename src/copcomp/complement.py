@@ -13,7 +13,6 @@ import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linprog, nnls
 
 from .symcore import (
     PSD_INTERIOR,
@@ -33,6 +32,20 @@ UNKNOWN = "UNKNOWN"
 
 # strictness margin for the vertex-pair representation behind Assumption j)
 DELTA_STRICT = 1e-6
+
+
+def nnls(a, b):
+    """scipy's NNLS, imported at the first fit: loading scipy.optimize
+    takes most of copcomp's start-up time, and the steps that run on numpy
+    alone should not pay for it."""
+    from scipy.optimize import nnls as solve
+    return solve(a, b)
+
+
+def linprog(*args, **kwargs):
+    """scipy's linprog, imported at the first call (see :func:`nnls`)."""
+    from scipy.optimize import linprog as solve
+    return solve(*args, **kwargs)
 
 
 class ComplementError(ValueError):
@@ -350,7 +363,7 @@ def positive_factorization(w: np.ndarray, taus_restricted: list,
         if theta > 0.0:
             shift_cols = outer_columns(shifted)
             beta, _, _, _ = np.linalg.lstsq(shift_cols, target, rcond=None)
-            if np.linalg.norm(shift_cols @ beta - target) > 1e-8:
+            if np.linalg.norm(shift_cols @ beta - target) > tol.slack:
                 continue
             mu = 1.0 - (2.0 * theta + theta ** 2 * gamma) * beta
         else:
@@ -440,6 +453,6 @@ def align_factorizations(b: np.ndarray, m: np.ndarray, tol: Tolerances = Toleran
     m = widen(m, width)
     uu, _, vt = np.linalg.svd(b.T @ m)
     omega = uu @ vt
-    if np.linalg.norm(b @ omega - m) > 1e-8:
+    if np.linalg.norm(b @ omega - m) > tol.slack:
         return None
     return omega, b, m

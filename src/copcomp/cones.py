@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import nnls
 
 from .symcore import NOT_PSD, SymMatError, Tolerances, outer_columns, psd_status, symmetrize
 
@@ -248,6 +247,8 @@ def cp_membership(u: np.ndarray, generators, tol: Tolerances = Tolerances()) -> 
     active set via scipy); certificate when the residual is <= zero_tol.
     The doubly-nonnegative necessary test is reported alongside.
     """
+    from scipy.optimize import nnls  # see complement.nnls
+
     u = symmetrize(u)
     p = u.shape[0]
     gens = [np.asarray(g, dtype=float) for g in generators]

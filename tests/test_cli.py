@@ -1,4 +1,7 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -96,6 +99,23 @@ def test_analyze_invalid_json_exit_2(tmp_path, capsys):
 def test_analyze_bad_tolerance_exit_2(s4_files, capsys):
     rc = main(["analyze", s4_files[0], "--zero-tol", "0"])
     assert rc == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["scenario", "run", "s4", "--zero-tol", "2"],
+    ["scenario", "run", "s4", "--psd-tol", "nan"],
+    ["analyze", "X", "--verify-oracle", "--grid-depth", "0"],
+], ids=["zero-tol", "psd-tol", "grid-depth"])
+def test_bad_flag_exit_2_before_any_work(s4_files, capsys, monkeypatch, argv):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started on a bad flag")
+
+    for name in ("run_scenario", "load_symmat", "is_copositive"):
+        monkeypatch.setattr(cli, name, no_work)
+    rc = main([s4_files[0] if a == "X" else a for a in argv])
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == ""
+    assert err.startswith("input error: ") and "Traceback" not in err
 
 
 def test_analyze_oracle_flag(s4_files, capsys):
@@ -344,3 +364,27 @@ def test_analyze_zero_block_component_report(tmp_path, capsys):
                              "sigma_ratio": 0.0, "full_rank": False},
         "verdict": "RANK_DEFICIENT",
     })
+
+
+_IMPORT_PATH_SCRIPT = """
+import sys
+sys.path.insert(0, sys.argv[1])
+x, u, missing = sys.argv[2:]
+from copcomp.cli import main
+assert main(["scenario", "list"]) == 0
+assert main(["analyze", x]) == 0
+assert main(["analyze", missing]) == 2
+assert "scipy.optimize" not in sys.modules, "numpy-only steps loaded scipy"
+assert main(["analyze", x, u]) == 0
+assert "scipy.optimize" in sys.modules
+"""
+
+
+def test_scipy_optimize_loads_at_the_first_solve(s4_files, tmp_path):
+    # a fresh interpreter: this one has scipy.optimize loaded already
+    src = Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PATH_SCRIPT, str(src), *s4_files,
+         str(tmp_path / "absent.json")],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
