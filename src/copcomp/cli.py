@@ -82,14 +82,13 @@ def cmd_analyze(args, tol: Tolerances) -> int:
 
     try:
         dd = decompose_dual(u, zs, tol)
-        rep = check_assumptions(x, u, zs, dd, tol)
     except ComplementError as exc:
         report["verdict"] = "DECOMPOSITION_FAILURE"
         report["error"] = str(exc)
         _emit(report, args)
         return 1
     report["decomposition"] = dd.to_json()
-    report["assumptions"] = rep.to_json()
+    report["assumptions"] = check_assumptions(zs, dd, tol).to_json()
 
     system = build_system(zs, dd)
     cert = rank_certificate(system, system.anchor, tol)

@@ -18,6 +18,8 @@ from .symcore import (
     PSD_INTERIOR,
     NOT_PSD,
     Tolerances,
+    linprog,
+    nnls,
     outer_columns,
     psd_status,
     rank_of_set,
@@ -32,20 +34,6 @@ UNKNOWN = "UNKNOWN"
 
 # strictness margin for the vertex-pair representation behind Assumption j)
 DELTA_STRICT = 1e-6
-
-
-def nnls(a, b):
-    """scipy's NNLS, imported at the first fit: loading scipy.optimize
-    takes most of copcomp's start-up time, and the steps that run on numpy
-    alone should not pay for it."""
-    from scipy.optimize import nnls as solve
-    return solve(a, b)
-
-
-def linprog(*args, **kwargs):
-    """scipy's linprog, imported at the first call (see :func:`nnls`)."""
-    from scipy.optimize import linprog as solve
-    return solve(*args, **kwargs)
 
 
 class ComplementError(ValueError):
@@ -331,28 +319,26 @@ def check_assumption_jjj(zs: ZeroStructure) -> Verdict:
     return Verdict(status, {"offending": offending})
 
 
-def positive_factorization(w: np.ndarray, taus_restricted: list,
+def positive_factorization(w: np.ndarray, taus, weights: dict,
                            tol: Tolerances = Tolerances()):
     """Strictly positive factor M with M M' == W, or None when unavailable.
 
-    Follows the theta-shift construction: decompose W over the restricted
-    subset-sum generators, then form columns sqrt(mu_k(theta)) *
-    (b_k + theta t_hat) for a decreasing theta grid; the first theta
-    giving all-positive weights and columns with a small product residual
-    is accepted.
+    Follows the theta-shift construction from a decomposition W =
+    sum alpha g g' over subset sums g of the rows of ``taus``, given as
+    ``weights`` {index tuple into taus: alpha} (the dual decomposition's
+    ``coefficients``): form columns sqrt(mu_k(theta)) * (b_k + theta t_hat)
+    for a decreasing theta grid; the first theta giving all-positive
+    weights and columns with a small product residual is accepted.
     """
     w = symmetrize(w)
     if psd_status(w, tol)[0] == NOT_PSD:
         raise ValueError("W must be PSD for positive factorization")
-    taus = np.asarray(taus_restricted, dtype=float)
-    _, [alpha], residual = face_nnls(taus, [range(len(taus))], w)
-    if residual > tol.slack:
-        return None
+    taus = np.asarray(taus, dtype=float)
     # drop numerically-inactive generators; the product check below bounds
     # the total truncation error
-    cutoff = tol.zero_tol * max(1.0, max(alpha.values(), default=0.0))
+    cutoff = tol.zero_tol * max(1.0, max(weights.values(), default=0.0))
     bst = [np.sqrt(a) * np.sum(taus[list(combo)], axis=0)
-           for combo, a in alpha.items() if a > cutoff]
+           for combo, a in weights.items() if a > cutoff]
     if not bst:
         return None if np.linalg.norm(w) > tol.zero_tol else np.zeros((w.shape[0], 0))
     t_hat = np.sum(bst, axis=0)
@@ -385,8 +371,9 @@ def check_conditions(zs: ZeroStructure, dd: DualDecomposition,
 
     factor_info = []
     status_ii = PASS
-    for s in range(len(zs.blocks)):
-        m = positive_factorization(dd.restricted[s], zs.block_vectors(s), tol)
+    for s, support in enumerate(zs.supports):
+        taus = np.asarray(zs.vertices)[:, list(support)]  # keyed as dd's weights
+        m = positive_factorization(dd.restricted[s], taus, dd.coefficients[s], tol)
         if m is None:
             status_ii = FAIL
             factor_info.append({"block": s + 1, "factor": None})
@@ -412,12 +399,9 @@ def check_conditions(zs: ZeroStructure, dd: DualDecomposition,
     return cond_i, cond_ii, cond_iii
 
 
-def check_assumptions(x: np.ndarray, u: np.ndarray, zs: ZeroStructure,
-                      dd: DualDecomposition, tol: Tolerances = Tolerances()) -> AssumptionReport:
-    x = symmetrize(x)
-    u = symmetrize(u)
-    if abs(float(np.tensordot(x, u))) > tol.slack:
-        raise ComplementError("pair is not complementary within tolerance")
+def check_assumptions(zs: ZeroStructure, dd: DualDecomposition,
+                      tol: Tolerances = Tolerances()) -> AssumptionReport:
+    """Assumptions j)-jjj) and conditions i)-iii); decompose_dual gated the pair."""
     jjj = check_assumption_jjj(zs)
     jj = check_assumption_jj(dd)
     j = check_assumption_j(zs, dd, tol)

@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .symcore import NOT_PSD, SymMatError, Tolerances, outer_columns, psd_status, symmetrize
+from .symcore import (NOT_PSD, SymMatError, Tolerances, nnls, outer_columns,
+                      psd_status, symmetrize)
 
 EXACT_COPOSITIVITY_LIMIT = 12
 FACE_CHUNK = 128
@@ -29,7 +30,7 @@ class CopVerdict:
     member: bool
     min_value: float
     argmin: np.ndarray
-    # simplex vector with t'Xt < -zero_tol; None for a member
+    # simplex vector with t'Xt below the member floor; None for a member
     witness: np.ndarray | None = None
     supports_checked: int = 0
     zeros: list = field(default_factory=list)  # candidate zero vertices
@@ -78,8 +79,8 @@ def is_copositive(x: np.ndarray, tol: Tolerances = Tolerances()) -> CopVerdict:
     """Exact combinatorial copositivity decision for small orders.
 
     Minimizes t'Xt over the simplex by enumerating KKT supports; member
-    iff the minimum is >= -zero_tol.  A negative diagonal entry short
-    circuits with a coordinate-vector witness.
+    iff the minimum is >= -zero_tol * 2^e (2^e as below).  A diagonal
+    entry under that floor short circuits with a coordinate-vector witness.
 
     A face I is solved only when its KKT system 2 X_I t = lam * 1,
     sum(t) = 1 has a unique solution: its bordered matrix has full
@@ -105,9 +106,9 @@ def is_copositive(x: np.ndarray, tol: Tolerances = Tolerances()) -> CopVerdict:
     second, t would be an inner point of an edge of the zero set.  A
     diagonal entry with |x_kk| <= psd_tol gives e_k.
 
-    The KKT matrices are built from X / 2^e, with 2^e the power of two
-    nearest max|X|, so the rank test does not depend on the scale of X
-    (scaling by a power of two is exact, and unit-scale X is not scaled).
+    The KKT matrices are built from X / 2^e, so neither the rank test nor
+    the member floor depends on the scale of X (scaling by a power of two
+    is exact, and unit-scale X is not scaled).
 
     ``argmin`` is the first minimizer in support order (by size, then
     lexicographic).  When minimizers tie, rounding can decide which one
@@ -122,18 +123,19 @@ def is_copositive(x: np.ndarray, tol: Tolerances = Tolerances()) -> CopVerdict:
         )
     if p == 0:
         raise SymMatError("copositivity needs a matrix of order p >= 1, got order 0")
+    amax = float(np.max(np.abs(x)))
+    e = round(math.log2(amax)) if amax > 0.0 else 0
+    floor = -math.ldexp(tol.zero_tol, e)  # a Python float keeps member a bool
     diag = np.diag(x)
     k = int(np.argmin(diag))
     best_val = float(diag[k])
     best_t = np.zeros(p)
     best_t[k] = 1.0
-    if best_val < -tol.zero_tol:
+    if best_val < floor:
         return CopVerdict(member=False, min_value=best_val, argmin=best_t,
                           witness=best_t, supports_checked=0)
 
     bound = zero_bound(tol)
-    amax = float(np.max(np.abs(x)))
-    e = round(math.log2(amax)) if amax > 0.0 else 0
     zeros = list(np.eye(p)[np.abs(diag) <= tol.psd_tol])
     for size in range(2, p + 1):
         all_supports, all_xi = principal_blocks(x, size)
@@ -164,7 +166,7 @@ def is_copositive(x: np.ndarray, tol: Tolerances = Tolerances()) -> CopVerdict:
             m = int(np.argmin(vals))
             if vals[m] < best_val:
                 best_val, best_t = float(vals[m]), rows[m].copy()
-    member = best_val >= -tol.zero_tol
+    member = best_val >= floor
     witness = None if member else best_t
     return CopVerdict(member=member, min_value=best_val, argmin=best_t,
                       witness=witness, supports_checked=2 ** p - 1, zeros=zeros)
@@ -247,8 +249,6 @@ def cp_membership(u: np.ndarray, generators, tol: Tolerances = Tolerances()) -> 
     active set via scipy); certificate when the residual is <= zero_tol.
     The doubly-nonnegative necessary test is reported alongside.
     """
-    from scipy.optimize import nnls  # see complement.nnls
-
     u = symmetrize(u)
     p = u.shape[0]
     gens = [np.asarray(g, dtype=float) for g in generators]

@@ -72,7 +72,7 @@ def _match_vertex_sets(found, expected, atol: float) -> bool:
 def _pipeline(x, u, tol):
     zs = compute_zero_structure(x, tol)
     dd = decompose_dual(u, zs, tol)
-    report = check_assumptions(x, u, zs, dd, tol)
+    report = check_assumptions(zs, dd, tol)
     sys = build_system(zs, dd)
     cert = rank_certificate(sys, sys.anchor, tol)
     return zs, dd, report, sys, cert
@@ -265,7 +265,7 @@ def _pp3z_j_expectations(tol: Tolerances) -> list[dict]:
     data = build_extremal5()
     zs = compute_zero_structure(data["x"], tol)
     dd = decompose_dual(data["u"], zs, tol)
-    rep = check_assumptions(data["x"], data["u"], zs, dd, tol)
+    rep = check_assumptions(zs, dd, tol)
     out = [_check("anchor assumption j FAIL", rep.j.status == FAIL, rep.j.status)]
     out.extend(_extremal5_path_checks(data, tol))
     path = [extremal5_path(data["theta"], eps) for eps in EPS_PATH]

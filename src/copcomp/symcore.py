@@ -1,5 +1,6 @@
 """Symmetric-matrix primitives: svec/smat, symmetric Kronecker product,
-spectral and rank utilities with explicit tolerances.
+spectral and rank utilities with explicit tolerances, and the one door to
+scipy's NNLS and LP solvers.
 
 All routines operate on dense symmetric numpy arrays in float64.  The svec
 convention scales off-diagonal entries by sqrt(2) so that
@@ -201,6 +202,20 @@ def outer_columns(gens) -> np.ndarray:
     gt = np.ascontiguousarray(np.asarray(gens, dtype=float).T)
     p, n = gt.shape
     return (gt[:, None, :] * gt[None, :, :]).reshape(p * p, n)
+
+
+def nnls(a, b):
+    """scipy's NNLS, imported at the first fit: loading scipy.optimize
+    takes most of copcomp's start-up time, and the steps that run on numpy
+    alone should not pay for it."""
+    from scipy.optimize import nnls as solve
+    return solve(a, b)
+
+
+def linprog(*args, **kwargs):
+    """scipy's linprog, imported at the first call (see :func:`nnls`)."""
+    from scipy.optimize import linprog as solve
+    return solve(*args, **kwargs)
 
 
 def rank_of_set(mats, tol: Tolerances) -> int:

@@ -77,7 +77,7 @@ def test_criterion_1_worked_example(announce):
                               - np.outer(data["b"], data["b"])) <= 1e-10
         assert np.linalg.norm(by_support[(1, 2)]
                               - np.outer(data["c"], data["c"])) <= 1e-10
-        rep = check_assumptions(data["x"], data["u"], zs, dd, TOL)
+        rep = check_assumptions(zs, dd, TOL)
         assert rep.j.status == rep.jj.status == rep.jjj.status == PASS
         sys = build_system(zs, dd)
         assert sys.m == 6
@@ -106,7 +106,7 @@ def test_criterion_2_extremal_family(announce):
                        for v in zs.vertices) <= 1e-8
         assert len(zs.blocks) == 1
         dd = decompose_dual(u, zs, TOL)
-        rep = check_assumptions(x, u, zs, dd, TOL)
+        rep = check_assumptions(zs, dd, TOL)
         assert rep.j.status == FAIL
         assert rep.jj.status == PASS and rep.jjj.status == PASS
         for eps in EPS_PATH:
@@ -134,7 +134,7 @@ def test_criterion_3_violation_scenarios(announce):
         data = build_pp3z_jjj()
         zs = compute_zero_structure(data["x"], TOL)
         dd = decompose_dual(data["u"], zs, TOL)
-        rep = check_assumptions(data["x"], data["u"], zs, dd, TOL)
+        rep = check_assumptions(zs, dd, TOL)
         assert rep.jjj.status == FAIL
         assert zs.contact_sets[0] != zs.supports[0]
         from copcomp.paperlab import pp4z_j_path, pp4z_jjj_path, \

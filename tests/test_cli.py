@@ -271,7 +271,9 @@ def test_analyze_coefficients_positive_and_rebuild_components(
 def test_analyze_fits_the_face_of_u_without_hull_lps(tmp_path, capsys,
                                                      monkeypatch):
     # H(theta*) + 0_7: the seven e_k vertices of X sit on zero diagonal
-    # entries of U, so each NNLS sees the 2^5 - 1 subsets of H's vertices
+    # entries of U, so each NNLS sees the 2^5 - 1 subsets of H's vertices.
+    # Condition ii factors each block from the dual decomposition's
+    # weights, so a pair costs the one NNLS of decompose_dual.
     columns = []
 
     def counting(a, b, **kwargs):
@@ -286,8 +288,17 @@ def test_analyze_fits_the_face_of_u_without_hull_lps(tmp_path, capsys,
     report = json.loads(capsys.readouterr().out)
     assert rc == 1 and report["verdict"] == "RANK_DEFICIENT"
     assert len(report["zero_structure"]["vertices"]) == 12
-    assert columns and max(columns) <= 31
+    assert len(columns) == 1 and columns[0] <= 31
     assert not hasattr(zerostruct, "linprog")
+    s4 = build_s4()
+    for (x, u), cond_ii in ((_padded_hildebrand(8), "FAIL"),
+                            ((s4["x"], s4["u"]), "PASS")):
+        columns.clear()
+        main(["analyze", _write(tmp_path, "x.json", x),
+              _write(tmp_path, "u.json", u), "--json"])
+        report = json.loads(capsys.readouterr().out)
+        assert report["assumptions"]["cond_ii"]["status"] == cond_ii
+        assert len(columns) == 1
 
 
 def _close_report(got, want, where=""):

@@ -144,7 +144,7 @@ def test_jj_and_cond_i_share_one_rank():
     data = build_s4()
     zs = compute_zero_structure(data["x"], TOL)
     dd = decompose_dual(data["u"], zs, TOL)
-    rep = check_assumptions(data["x"], data["u"], zs, dd, TOL)
+    rep = check_assumptions(zs, dd, TOL)
     assert rep.jj.certificate == {"rank": dd.basis_rank,
                                   "expected": dd.basis_pairs}
     assert rep.cond_i.certificate == {"unique": dd.unique}
@@ -155,7 +155,7 @@ def test_assumption_report_worked_example():
     data = build_s4()
     zs = compute_zero_structure(data["x"], TOL)
     dd = decompose_dual(data["u"], zs, TOL)
-    rep = check_assumptions(data["x"], data["u"], zs, dd, TOL)
+    rep = check_assumptions(zs, dd, TOL)
     for name in ("j", "jj", "jjj", "cond_i", "cond_ii", "cond_iii"):
         assert getattr(rep, name).status == PASS, name
     # positive pair-generator weights certify strict complementarity
@@ -166,7 +166,7 @@ def test_assumption_j_fails_without_range_condition():
     data = build_pp4z_j()
     zs = compute_zero_structure(data["x"], TOL)
     dd = decompose_dual(data["u"], zs, TOL)
-    rep = check_assumptions(data["x"], data["u"], zs, dd, TOL)
+    rep = check_assumptions(zs, dd, TOL)
     assert rep.j.status == FAIL
     blk = rep.j.certificate["blocks"][0]
     assert blk["rank_w"] == 1 and blk["rank_tau"] == 3
@@ -176,24 +176,16 @@ def test_assumption_jjj_certificate_names_offenders():
     data = build_pp3z_jjj()
     zs = compute_zero_structure(data["x"], TOL)
     dd = decompose_dual(data["u"], zs, TOL)
-    rep = check_assumptions(data["x"], data["u"], zs, dd, TOL)
+    rep = check_assumptions(zs, dd, TOL)
     assert rep.jjj.status == FAIL
     off = rep.jjj.certificate["offending"][0]
     assert off["contact_set"] == [1, 2, 3]
     assert off["support"] == [1, 2]
 
 
-def test_check_assumptions_rejects_non_complementary_pair():
-    data = build_s4()
-    zs = compute_zero_structure(data["x"], TOL)
-    dd = decompose_dual(data["u"], zs, TOL)
-    with pytest.raises(ComplementError):
-        check_assumptions(data["x"], np.eye(3), zs, dd, TOL)
-
-
 def test_positive_factorization_rank_one():
     w = np.array([[1.0, 1.0], [1.0, 1.0]])
-    m = positive_factorization(w, [np.array([0.5, 0.5])], TOL)
+    m = positive_factorization(w, [np.array([0.5, 0.5])], {(0,): 4.0}, TOL)
     assert m is not None
     assert np.min(m) > 0.0
     assert np.linalg.norm(m @ m.T - w) <= 1e-9
@@ -202,7 +194,9 @@ def test_positive_factorization_rank_one():
 def test_positive_factorization_needs_theta_shift():
     w = np.array([[2.0, 1.0], [1.0, 2.0]])
     taus = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
-    m = positive_factorization(w, taus, TOL)
+    # W = e1 e1' + e2 e2' + (e1 + e2)(e1 + e2)'
+    m = positive_factorization(w, taus, {(0,): 1.0, (1,): 1.0, (0, 1): 1.0},
+                               TOL)
     assert m is not None
     assert np.min(m) > 0.0
     assert np.linalg.norm(m @ m.T - w) <= 1e-9
@@ -210,13 +204,14 @@ def test_positive_factorization_needs_theta_shift():
 
 def test_positive_factorization_unavailable_for_identity():
     taus = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
-    assert positive_factorization(np.eye(2), taus, TOL) is None
+    assert positive_factorization(np.eye(2), taus, {(0,): 1.0, (1,): 1.0},
+                                  TOL) is None
 
 
 def test_positive_factorization_rejects_indefinite():
     with pytest.raises(ValueError):
         positive_factorization(np.diag([1.0, -1.0]),
-                               [np.array([0.5, 0.5])], TOL)
+                               [np.array([0.5, 0.5])], {(0,): 4.0}, TOL)
 
 
 def test_align_identity_and_permutation():
@@ -260,7 +255,7 @@ def test_derived_conditions_follow_from_j_and_jj():
         data = SCENARIOS[name].build()
         zs = compute_zero_structure(data["x"], TOL)
         dd = decompose_dual(data["u"], zs, TOL)
-        rep = check_assumptions(data["x"], data["u"], zs, dd, TOL)
+        rep = check_assumptions(zs, dd, TOL)
         if rep.j.status == PASS and rep.jj.status == PASS:
             assert rep.cond_i.status == PASS
             assert rep.cond_ii.status == PASS
@@ -280,6 +275,51 @@ def _face_cases():
         perm = rng.permutation(p)
         cases += [(x, u), (x[np.ix_(perm, perm)], u[np.ix_(perm, perm)])]
     return cases
+
+
+def _refit_factorization(w, taus, tol):
+    """Reference for condition ii: refit W by NNLS over the block's own
+    subset sums, gate on the fit's residual, then factor from those
+    weights."""
+    _, [alpha], residual = face_nnls(taus, [range(len(taus))], w)
+    if residual > tol.slack:
+        return None
+    return positive_factorization(w, taus, alpha, tol)
+
+
+def test_cond_ii_from_dual_weights_matches_a_refit():
+    # the seven scenario pairs, H(theta*) + 0_{p-5} for p = 5..12 plain and
+    # under two permutations, and s4 with U = bb'
+    rng = np.random.default_rng(20240826)
+    cases = [(data["x"], data["u"])
+             for data in (SCENARIOS[n].build() for n in SCENARIOS)]
+    data = build_extremal5()
+    for p in range(5, 13):
+        x, u = np.zeros((p, p)), np.zeros((p, p))
+        x[:5, :5], u[:5, :5] = data["x"], data["u"]
+        cases.append((x, u))
+        for _ in range(2):
+            perm = rng.permutation(p)
+            cases.append((x[np.ix_(perm, perm)], u[np.ix_(perm, perm)]))
+    s4 = build_s4()
+    cases.append((s4["x"], np.outer(s4["b"], s4["b"])))
+    statuses = set()
+    for x, u in cases:
+        zs = compute_zero_structure(x, TOL)
+        dd = decompose_dual(u, zs, TOL)
+        cond_ii = check_assumptions(zs, dd, TOL).cond_ii
+        refs = [_refit_factorization(dd.restricted[s], zs.block_vectors(s), TOL)
+                for s in range(len(zs.blocks))]
+        assert cond_ii.status == (PASS if all(m is not None for m in refs)
+                                  else FAIL)
+        statuses.add(cond_ii.status)
+        for ref, info in zip(refs, cond_ii.certificate["blocks"]):
+            if ref is None:
+                assert info["factor"] is None
+            else:
+                assert info["factor"].shape == ref.shape
+                assert np.max(np.abs(info["factor"] - ref), initial=0.0) <= 1e-12
+    assert len(cases) == 32 and statuses == {PASS, FAIL}
 
 
 def test_face_nnls_prunes_to_zero_and_matches_full_nnls():
@@ -328,7 +368,8 @@ def test_face_nnls_of_zero_target_is_empty():
                                                    np.zeros((2, 2)))
     assert coefficients == [{}] and residual == 0.0
     assert np.array_equal(components[0], np.zeros((2, 2)))
-    assert positive_factorization(np.zeros((2, 2)), taus, TOL).shape == (2, 0)
+    assert positive_factorization(np.zeros((2, 2)), taus, coefficients[0],
+                                  TOL).shape == (2, 0)
 
 
 def test_pairs_with_a_zero_block_component_do_not_raise():
@@ -352,7 +393,7 @@ def test_pairs_with_a_zero_block_component_do_not_raise():
                     g = np.sum([zs.vertices[j] for j in sub], axis=0)
                     u += rng.uniform(0.5, 2.0) * np.outer(g, g)
             dd = decompose_dual(u, zs, TOL)
-            rep = check_assumptions(x, u, zs, dd, TOL)
+            rep = check_assumptions(zs, dd, TOL)
             system = build_system(zs, dd)
             rank_certificate(system, system.anchor, TOL)
             for info in rep.cond_ii.certificate["blocks"]:

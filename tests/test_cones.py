@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -267,10 +268,24 @@ def test_scaled_order_two_counterexample_cli_exit_1(tmp_path, capsys):
     assert "X_NOT_COPOSITIVE" in capsys.readouterr().out
 
 
+def test_member_floor_scales_with_x():
+    # the floor is -zero_tol times the power of two nearest max|X|: a tiny
+    # non-copositive X is caught, and the roundoff minimum of H(theta*)
+    # times 1e8 stays inside the floor
+    v = is_copositive(1e-300 * np.array([[1.0, -2.0], [-2.0, 1.0]]), TOL)
+    assert v.member is False and v.min_value == -5e-301
+    assert np.allclose(v.witness, [0.5, 0.5])
+    v = is_copositive(1e-300 * np.diag([1.0, -1e-5]), TOL)
+    assert v.member is False and v.supports_checked == 0
+    v = is_copositive(1e8 * build_extremal5()["x"], TOL)
+    assert v.member is True and -1e-8 < v.min_value < -TOL.zero_tol
+    json.dumps(v.to_json())
+
+
 def test_min_value_scales_with_x():
     # the KKT matrices are built at unit scale, so the face solutions (and
     # with them min_value and member) do not depend on the scale of X,
-    # apart from the absolute zero_tol in the member threshold
+    # apart from the member floor rounding max|X| to a power of two
     for x in _generic_matrices(150, 7001):
         ref = is_copositive(x, TOL)
         for c in SCALES:

@@ -283,3 +283,14 @@ def test_symmetrize_rejects_non_finite_and_overflowing_entries(bad):
 def test_symmetrize_rejects_nonsquare():
     with pytest.raises(SymMatError):
         symmetrize(np.zeros((2, 3)))
+
+
+def test_one_lazy_door_to_scipy_solvers():
+    # the bench tracer and the tests wrap complement.nnls/linprog; the CP
+    # membership test fits through the same function
+    import copcomp.complement as complement
+    import copcomp.cones as cones
+    import copcomp.symcore as symcore
+
+    assert cones.nnls is complement.nnls is symcore.nnls
+    assert complement.linprog is symcore.linprog
