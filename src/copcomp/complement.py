@@ -231,28 +231,21 @@ def _strictness_lp(w_restricted: np.ndarray, bars: list[np.ndarray], slack: floa
     """max gamma s.t. sum a_ij bar bar' ~ W, a >= gamma >= 0.
 
     Equality is relaxed entrywise by ``slack`` to absorb the NNLS residual
-    of the decomposition that produced W.
+    of the decomposition that produced W.  The LP is posed over
+    a = gamma 1 + b with b >= 0, and on the entries i <= j of W only: the
+    other half repeats them, so the feasible set is the same.
     """
     m = len(bars)
-    cols = outer_columns(bars)
-    nrow = cols.shape[0]
-    # variables: a_1..a_m, gamma
+    p = w_restricted.shape[0]
+    k, l = np.triu_indices(p)
+    cols = outer_columns(bars)[k * p + l]
+    # variables: b_1..b_m, gamma
+    a = np.column_stack([cols, cols.sum(axis=1)])
+    w = w_restricted[k, l]
     c = np.zeros(m + 1)
     c[m] = -1.0
-    a_ub = np.zeros((2 * nrow + m, m + 1))
-    b_ub = np.zeros(2 * nrow + m)
-    a_ub[:nrow, :m] = cols
-    b_ub[:nrow] = w_restricted.ravel() + slack
-    a_ub[nrow:2 * nrow, :m] = -cols
-    b_ub[nrow:2 * nrow] = -(w_restricted.ravel() - slack)
-    a_ub[2 * nrow:, :m] = -np.eye(m)
-    a_ub[2 * nrow:, m] = 1.0
-    res = linprog(c, A_ub=a_ub, b_ub=b_ub,
-                  bounds=[(0.0, None)] * m + [(0.0, None)],
-                  method="highs")
-    if not res.success:
-        return None
-    return float(-res.fun)
+    x = linprog(c, np.vstack([a, -a]), np.concatenate([w + slack, slack - w]))
+    return None if x is None else float(x[m])
 
 
 def check_assumption_j(zs: ZeroStructure, dd: DualDecomposition, tol: Tolerances = Tolerances()) -> Verdict:

@@ -1,6 +1,6 @@
 """Symmetric-matrix primitives: svec/smat, symmetric Kronecker product,
-spectral and rank utilities with explicit tolerances, and the one door to
-scipy's NNLS and LP solvers.
+spectral and rank utilities with explicit tolerances, the one door to
+scipy's NNLS solver, and a dense simplex for small linear programs.
 
 All routines operate on dense symmetric numpy arrays in float64.  The svec
 convention scales off-diagonal entries by sqrt(2) so that
@@ -16,6 +16,14 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 SQRT2 = np.sqrt(2.0)
+
+# Simplex thresholds: pivot elements up to LP_PIVOT_TOL * max|a_ub| count as
+# zero, as do right-hand sides and reduced costs up to LP_ZERO_TOL times the
+# largest |b_ub| and |c|.  Bland's rule ends every run in exact arithmetic;
+# the pivot cap only stops one that rounding error keeps going.
+LP_PIVOT_TOL = 1e-9
+LP_ZERO_TOL = 1e-13
+LP_MAX_PIVOTS_PER_ROW = 50
 
 NOT_PSD = "NOT_PSD"
 PSD_BOUNDARY = "PSD_BOUNDARY"
@@ -212,10 +220,117 @@ def nnls(a, b):
     return solve(a, b)
 
 
-def linprog(*args, **kwargs):
-    """scipy's linprog, imported at the first call (see :func:`nnls`)."""
-    from scipy.optimize import linprog as solve
-    return solve(*args, **kwargs)
+def linprog(c, a_ub, b_ub):
+    """Minimize c'x subject to a_ub x <= b_ub and x >= 0.
+
+    A two-phase simplex on the dense condensed tableau, whose columns are
+    the nonbasic variables only.  It prices by Dantzig's rule and takes
+    Bland's rule for any pivot that would not move, so it cannot cycle.
+    The answer is recomputed from the final basis by one linear solve on
+    the original rows, so it meets them to rounding error.  Returns the
+    optimal x, or None when no x >= 0 is feasible; raises ValueError when
+    the objective is unbounded below.
+    """
+    c = np.asarray(c, dtype=float)
+    a = np.asarray(a_ub, dtype=float)
+    b = np.asarray(b_ub, dtype=float)
+    # a row with a_i <= 0 <= b_i holds for every x >= 0
+    keep = ~(np.all(a <= 0.0, axis=1) & (b >= 0.0))
+    a, b = a[keep], b[keep]
+    m, n = a.shape
+    piv = LP_PIVOT_TOL * np.max(np.abs(a), initial=0.0)
+    zero = LP_ZERO_TOL * np.max(np.abs(b), initial=0.0)
+    # Variables are labelled x_j = j, the slack of row i = n + i and the
+    # artificial of row i = n + m + i.  A row with b_i < 0 is negated; its
+    # artificial starts basic and its slack, with coefficient -1, nonbasic.
+    neg = np.flatnonzero(b < 0.0)
+    sign = np.where(b < 0.0, -1.0, 1.0)
+    basis = n + np.arange(m)
+    basis[neg] += m
+    nonbasic = np.concatenate([np.arange(n), n + neg])
+    t = np.zeros((m + 1, nonbasic.size + 1))
+    t[:m, :n] = sign[:, None] * a
+    t[neg, n + np.arange(neg.size)] = -1.0
+    t[:m, -1] = np.abs(b)
+
+    cost = np.zeros(n + 2 * m)  # by label
+    cost[n + m:] = 1.0
+    _simplex(t, basis, nonbasic, cost, piv, zero, LP_ZERO_TOL)
+    if -t[m, -1] > zero:
+        return None
+    # [a_ub I] has full row rank, so an artificial still basic (at level
+    # zero) always has a nonzero entry to pivot out on
+    real = nonbasic < n + m
+    for r in np.flatnonzero(basis >= n + m):
+        e = int(np.argmax(np.where(real, np.abs(t[r, :-1]), -1.0)))
+        _pivot(t, basis, nonbasic, r, e)
+        real[e] = False
+    t = t[:, np.append(np.flatnonzero(nonbasic < n + m), -1)]
+    nonbasic = nonbasic[nonbasic < n + m]
+
+    cost[:] = 0.0
+    cost[:n] = c
+    if not _simplex(t, basis, nonbasic, cost, piv, zero,
+                    LP_ZERO_TOL * np.max(np.abs(c), initial=0.0)):
+        raise ValueError("the linear program is unbounded")
+    # the basic x solve the rows whose slack is nonbasic, that is, tight
+    x = np.zeros(n)
+    cols = basis[basis < n]
+    if cols.size:
+        tight = nonbasic[nonbasic >= n] - n
+        x[cols] = np.maximum(np.linalg.solve(a[np.ix_(tight, cols)], b[tight]), 0.0)
+    return x
+
+
+def _pivot(t, basis, nonbasic, r, e) -> None:
+    """Exchange basic variable ``basis[r]`` with nonbasic ``nonbasic[e]``."""
+    col = t[:, e].copy()
+    t[:, e] = 0.0
+    t[r, e] = 1.0
+    t[r] /= col[r]
+    col[r] = 0.0
+    t -= col[:, None] * t[r]
+    basis[r], nonbasic[e] = nonbasic[e], basis[r]
+
+
+def _ratio_test(col, rhs, basis, piv):
+    """Row of the minimum ratio rhs / col over the entries col > piv, the
+    one of lowest basic label among exact ties; None when there is none.
+    A near tie is no tie: leaving on it would make the basic variable of
+    the smaller ratio negative."""
+    rows = (col > piv).nonzero()[0]
+    if rows.size == 0:
+        return None
+    ratios = rhs[rows].clip(0.0) / col[rows]
+    tied = rows[ratios == ratios.min()]
+    return tied[basis[tied].argmin()]
+
+
+def _simplex(t, basis, nonbasic, cost, piv, zero, rc_tol) -> bool:
+    """Pivot the condensed tableau ``t`` (objective in the last row,
+    right-hand side in the last column) to minimize ``cost`` over the
+    variables' labels.  Returns False when a column with negative reduced
+    cost has no pivot row, that is, when the objective is unbounded."""
+    t[-1] = np.append(cost[nonbasic], 0.0) - cost[basis] @ t[:-1]
+    rhs = t[:-1, -1]
+    for _ in range(LP_MAX_PIVOTS_PER_ROW * t.shape[0]):
+        rc = t[-1, :-1]
+        e = rc.argmin()
+        if rc[e] >= -rc_tol:
+            return True
+        r = _ratio_test(t[:-1, e], rhs, basis, piv)
+        if r is None:
+            return False
+        if rhs[r] <= zero:
+            # a pivot that would not move: Bland's rule, the entering and
+            # (among tied rows) the leaving variable of lowest label
+            cand = (rc < -rc_tol).nonzero()[0]
+            e = cand[nonbasic[cand].argmin()]
+            r = _ratio_test(t[:-1, e], rhs, basis, piv)
+            if r is None:
+                return False
+        _pivot(t, basis, nonbasic, r, e)
+    raise RuntimeError("simplex pivot limit reached")
 
 
 def rank_of_set(mats, tol: Tolerances) -> int:

@@ -382,9 +382,11 @@ import sys
 sys.path.insert(0, sys.argv[1])
 x, u, missing = sys.argv[2:]
 from copcomp.cli import main
+from copcomp.symcore import linprog
 assert main(["scenario", "list"]) == 0
 assert main(["analyze", x]) == 0
 assert main(["analyze", missing]) == 2
+assert linprog([-1.0], [[1.0]], [1.0]).tolist() == [1.0]
 assert "scipy.optimize" not in sys.modules, "numpy-only steps loaded scipy"
 assert main(["analyze", x, u]) == 0
 assert "scipy.optimize" in sys.modules
@@ -392,7 +394,8 @@ assert "scipy.optimize" in sys.modules
 
 
 def test_scipy_optimize_loads_at_the_first_solve(s4_files, tmp_path):
-    # a fresh interpreter: this one has scipy.optimize loaded already
+    # a fresh interpreter: this one has scipy.optimize loaded already.  The
+    # LP solver runs on numpy, so the first NNLS fit is what loads it.
     src = Path(cli.__file__).resolve().parents[1]
     proc = subprocess.run(
         [sys.executable, "-c", _IMPORT_PATH_SCRIPT, str(src), *s4_files,

@@ -3,12 +3,16 @@ import itertools
 import numpy as np
 import pytest
 
+import copcomp.complement as complement
 from copcomp.complement import (
     FAIL,
     PASS,
+    UNKNOWN,
     ComplementError,
+    _strictness_lp,
     _subset_columns,
     align_factorizations,
+    check_assumption_j,
     check_assumptions,
     decompose_dual,
     embed,
@@ -22,11 +26,14 @@ from copcomp.paperlab import (
     build_pp3z_jjj,
     build_pp4z_j,
     build_s4,
+    run_scenario,
+    scenario_names,
 )
+from scipy.optimize import linprog as scipy_linprog
 from scipy.optimize import nnls
 
 from copcomp.symcore import Tolerances
-from copcomp.zerostruct import compute_zero_structure
+from copcomp.zerostruct import compute_zero_structure, pair_sums
 
 TOL = Tolerances()
 RNG = np.random.default_rng(20240822)
@@ -402,3 +409,133 @@ def test_pairs_with_a_zero_block_component_do_not_raise():
                     zero_blocks += 1
                     assert info["min_entry"] is None
     assert zero_blocks >= 10
+
+
+def _j(x, u):
+    zs = compute_zero_structure(x, TOL)
+    return check_assumption_j(zs, decompose_dual(u, zs, TOL), TOL)
+
+
+def _gammas(verdict):
+    return [b["gamma"] for b in verdict.certificate["blocks"]]
+
+
+def _padded_hildebrand(p):
+    data = build_extremal5()
+    x, u = np.zeros((p, p)), np.zeros((p, p))
+    x[:5, :5] = data["x"]
+    u[:5, :5] = data["u"]
+    return x, u
+
+
+def test_strictness_gamma_at_hildebrand_is_the_exact_optimum_at_every_scale():
+    # H(theta*)'s W0 needs a zero pair weight, so the slack 1e-9 alone lifts
+    # gamma, to 1.5528e-9; the pair (cX, U/c) leaves that optimum in place
+    data = build_extremal5()
+    v = _j(data["x"], data["u"])
+    assert v.status == FAIL
+    assert _gammas(v) == [pytest.approx(1.5528e-9, abs=1e-12)]
+    for c in (1e-4, 1e-2, 1e2, 1e4):
+        vc = _j(c * data["x"], data["u"] / c)
+        assert vc.status == FAIL
+        assert _gammas(vc) == [pytest.approx(_gammas(v)[0], abs=1e-12)]
+
+
+@pytest.mark.parametrize("p", range(6, 13))
+def test_strictness_gamma_on_padded_hildebrand(p):
+    # the p - 5 vertices e_k join H(theta*)'s block, and every pair weight
+    # must fit the slack of the zero rows: gamma = 1e-9 / (p + 3)
+    v = _j(*_padded_hildebrand(p))
+    assert v.status == FAIL
+    assert _gammas(v) == [pytest.approx(1e-9 / (p + 3), rel=1e-9)]
+
+
+def test_j_under_positive_diagonal_scaling_of_hildebrand():
+    # (DXD, D^-1 U D^-1) with D = exp(U(-3, 3)) from default_rng(0): j stays
+    # FAIL except on draw 3, whose W0 admits gamma = 3.526e-7, between the
+    # FAIL cutoff 10 slack and DELTA_STRICT
+    data = build_extremal5()
+    rng = np.random.default_rng(0)
+    statuses = []
+    for draw in range(1, 9):
+        d = np.exp(rng.uniform(-3.0, 3.0, 5))
+        v = _j(data["x"] * np.outer(d, d), data["u"] / np.outer(d, d))
+        statuses.append(v.status)
+        if draw == 3:
+            assert _gammas(v) == [pytest.approx(3.526e-7, abs=1e-10)]
+    assert statuses == [FAIL, FAIL, UNKNOWN, FAIL, FAIL, FAIL, FAIL, FAIL]
+
+
+def _reference_lp(c, a_ub, b_ub):
+    """scipy's HiGHS with feasibility tolerances 1e-10, or None when it
+    finds the LP infeasible."""
+    res = scipy_linprog(c, A_ub=a_ub, b_ub=b_ub, method="highs",
+                        options={"primal_feasibility_tolerance": 1e-10,
+                                 "dual_feasibility_tolerance": 1e-10})
+    assert res.status in (0, 2), res.message
+    return res if res.status == 0 else None
+
+
+def _strictness_corpus(rng, n):
+    """Seeded blocks (W, slack, pair sums): W a positive combination of the
+    pair outer products (PASS), one with a zero weight (FAIL), or the outer
+    product of a vector with entries of both signs (infeasible)."""
+    for i in range(n):
+        p = int(rng.integers(2, 8))
+        k = int(rng.integers(1, p + 1))
+        taus = rng.random((k, p)) * (rng.random((k, p)) < 0.7)
+        taus[taus.sum(axis=1) == 0.0, 0] = 1.0
+        taus /= taus.sum(axis=1, keepdims=True)
+        bars = pair_sums(list(taus), range(k))
+        if i % 3 == 2:
+            g = rng.standard_normal(p)
+            w = np.outer(g, g)
+        else:
+            a = rng.uniform(0.1, 1.0, len(bars))
+            if i % 3 == 1:
+                a[rng.integers(len(bars))] = 0.0
+            w = sum(ai * np.outer(b, b) for ai, b in zip(a, bars))
+        yield w, 1e-9, bars
+
+
+def test_strictness_lp_against_a_tight_highs_reference(monkeypatch):
+    # Every LP that the scenario runs and analyze on H(theta*) + 0_{p-5},
+    # p = 8..12, build, plus a seeded corpus.  HiGHS's answer may break a
+    # row by up to its tolerance, which buys it up to ~5e-10 of gamma on
+    # this corpus, so the optimum is compared with HiGHS on the rows
+    # tightened by that tolerance, whose answer is feasible for this LP.
+    # HiGHS calls a few feasible corpus LPs infeasible; the answer found
+    # for those is checked for feasibility only.
+    lps = []
+    solve = complement.linprog
+
+    def recording(c, a_ub, b_ub):
+        lps.append((c, a_ub, b_ub))
+        return solve(c, a_ub, b_ub)
+
+    monkeypatch.setattr(complement, "linprog", recording)
+    for name in scenario_names():
+        run_scenario(name, TOL)
+    for p in range(8, 13):
+        _j(*_padded_hildebrand(p))
+    assert len(lps) == 13
+    gammas = [_strictness_lp(w, bars, slack) for w, slack, bars
+              in _strictness_corpus(np.random.default_rng(20261018), 60)]
+    assert len(lps) == 73
+    assert sum(g is None for g in gammas) == 20
+    assert sum(g is not None and g >= 1e-6 for g in gammas) >= 10
+    assert sum(g is not None and g <= 1e-8 for g in gammas) >= 5
+    compared = 0
+    for c, a_ub, b_ub in lps:
+        x = solve(c, a_ub, b_ub)
+        if x is None:
+            assert _reference_lp(c, a_ub, b_ub) is None
+            continue
+        assert np.all(x >= 0.0)
+        scale = max(1.0, np.max(np.abs(b_ub)))
+        assert np.max(a_ub @ x - b_ub) <= 1e-12 * scale
+        ref = _reference_lp(c, a_ub, b_ub - 1e-10)
+        if ref is not None:
+            assert c @ x <= ref.fun + 1e-10
+            compared += 1
+    assert compared >= 50

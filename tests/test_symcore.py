@@ -13,6 +13,7 @@ from copcomp.symcore import (
     Tolerances,
     check_symmetric,
     kernel_basis,
+    linprog,
     null_eigenvalues,
     numerical_rank,
     outer_columns,
@@ -287,10 +288,44 @@ def test_symmetrize_rejects_nonsquare():
 
 def test_one_lazy_door_to_scipy_solvers():
     # the bench tracer and the tests wrap complement.nnls/linprog; the CP
-    # membership test fits through the same function
+    # membership test fits through the same function.  Only NNLS goes to
+    # scipy: linprog is the in-repo simplex, which returns the optimal x
+    # itself rather than scipy's OptimizeResult.
     import copcomp.complement as complement
     import copcomp.cones as cones
     import copcomp.symcore as symcore
 
     assert cones.nnls is complement.nnls is symcore.nnls
     assert complement.linprog is symcore.linprog
+    x = symcore.linprog([-1.0], [[1.0]], [2.0])
+    assert isinstance(x, np.ndarray) and x.tolist() == [2.0]
+
+
+def test_linprog_ends_beales_cycling_example_at_its_optimum():
+    # Beale (1955): Dantzig's rule with lowest-index ties cycles through six
+    # degenerate bases at the origin; the optimum is x = (1, 0, 1, 0), -5/4
+    c = np.array([-0.75, 20.0, -0.5, 6.0])
+    a = np.array([[0.25, -8.0, -1.0, 9.0],
+                  [0.5, -12.0, -0.5, 3.0],
+                  [0.0, 0.0, 1.0, 0.0]])
+    x = linprog(c, a, [0.0, 0.0, 1.0])
+    assert x == pytest.approx([1.0, 0.0, 1.0, 0.0], abs=1e-15)
+    assert c @ x == pytest.approx(-1.25, abs=1e-15)
+
+
+def test_linprog_infeasible_unbounded_and_empty():
+    # x1 + x2 <= -1 has no x >= 0; -x1 <= 0 lets x1 grow without bound
+    assert linprog([1.0, 1.0], [[1.0, 1.0]], [-1.0]) is None
+    with pytest.raises(ValueError, match="unbounded"):
+        linprog([-1.0, 0.0], [[-1.0, 1.0]], [0.0])
+    # rows that every x >= 0 meets leave an empty tableau
+    assert linprog([1.0, 2.0], [[-1.0, 0.0]], [3.0]).tolist() == [0.0, 0.0]
+
+
+def test_linprog_meets_equality_pairs_to_rounding():
+    # a <= b and -a <= -b pin a x = b: the answer is feasible to rounding
+    a = RNG.random((6, 9))
+    b = a @ RNG.random(9)
+    x = linprog(-np.ones(9), np.vstack([a, -a]), np.concatenate([b, -b]))
+    assert np.max(np.abs(a @ x - b)) <= 1e-13 * np.max(b)
+    assert np.all(x >= 0.0)
