@@ -18,7 +18,6 @@ from .symcore import (
     kernel_basis,
     load_symmat,
     psd_status,
-    rank_of_set,
     rank_of_vectors,
     save_symmat,
     smat,

@@ -22,8 +22,8 @@ from .symcore import (
     nnls,
     outer_columns,
     psd_status,
-    rank_of_set,
     rank_of_vectors,
+    svec,
     symmetrize,
 )
 from .zerostruct import ZeroStructure, pair_sums
@@ -133,9 +133,8 @@ def _subset_columns(vectors, groups):
     ``groups`` lists index tuples into ``vectors``.  For every group s and
     every nonempty subset combo of it, in itertools order (by size, then
     lexicographic), returns the label (s, combo), the subset sum g as a row
-    of ``gens`` and vec(g g') as a column of the C-contiguous (p^2, n)
-    matrix ``cols``.  Sums are added left to right, the order of
-    ``np.sum(..., axis=0)``.
+    of ``gens`` and svec(g g') as a column of ``cols`` (``outer_columns``).
+    Sums are added left to right, the order of ``np.sum(..., axis=0)``.
 
     For the blocks of a zero structure every subset sum lies in
     cone T_a(s, X0), so these are legitimate generators of F(s).  The
@@ -171,7 +170,7 @@ def face_nnls(vectors, groups, target):
     subsets are built.  No tolerance is involved, so the rule commutes
     with index permutation and with positive or scalar scaling.  Returns
     per group the sum w g g' and the positive weights {combo: w}, and the
-    residual ||fit - target||_F.
+    residual ||fit - target||_F, the norm of the svec fit (an isometry).
     """
     target = np.asarray(target, dtype=float)
     vectors = np.asarray(vectors, dtype=float).reshape(-1, len(target))
@@ -179,10 +178,11 @@ def face_nnls(vectors, groups, target):
     groups = [[j for j in sorted(g) if not zero[np.ix_(pos[j], pos[j])].any()]
               for g in groups]
     labels, gens, cols = _subset_columns(vectors, groups)
-    keep = ~np.any(cols[zero.ravel()] > 0.0, axis=0)
+    b = svec(target)
+    keep = ~np.any(cols[b == 0.0] > 0.0, axis=0)
     weights = np.zeros(len(labels))
     if keep.any():
-        weights[keep], _ = nnls(np.ascontiguousarray(cols[:, keep]), target.ravel())
+        weights[keep], _ = nnls(np.ascontiguousarray(cols[:, keep]), b)
     components = [np.zeros(target.shape) for _ in groups]
     coefficients = [dict() for _ in groups]
     for weight, (s, combo), g in zip(weights, labels, gens):
@@ -190,14 +190,14 @@ def face_nnls(vectors, groups, target):
             continue  # NNLS leaves most subset weights at exactly zero
         components[s] += weight * np.outer(g, g)
         coefficients[s][combo] = float(weight)
-    return components, coefficients, float(np.linalg.norm(cols @ weights - target.ravel()))
+    return components, coefficients, float(np.linalg.norm(cols @ weights - b))
 
 
 def _basis_pair_rank(zs: ZeroStructure, tol: Tolerances) -> tuple[int, int]:
     """Rank and size of the basis-pair family {(tau(i)+tau(j))(tau(i)+tau(j))'
     : i <= j in J_b(s)}, whose independence is Assumption jj."""
-    mats = [np.outer(g, g) for jb in zs.basis for g in pair_sums(zs.vertices, jb)]
-    return rank_of_set(mats, tol), len(mats)
+    gens = [g for jb in zs.basis for g in pair_sums(zs.vertices, jb)]
+    return rank_of_vectors(outer_columns(gens).T, tol), len(gens)
 
 
 def decompose_dual(u: np.ndarray, zs: ZeroStructure, tol: Tolerances = Tolerances()) -> DualDecomposition:
@@ -232,19 +232,17 @@ def _strictness_lp(w_restricted: np.ndarray, bars: list[np.ndarray], slack: floa
 
     Equality is relaxed entrywise by ``slack`` to absorb the NNLS residual
     of the decomposition that produced W.  The LP is posed over
-    a = gamma 1 + b with b >= 0, and on the entries i <= j of W only: the
-    other half repeats them, so the feasible set is the same.
+    a = gamma 1 + b with b >= 0 on svec(W) +- svec(slack 1): one scaled
+    row per entry i <= j, so the feasible set is the same.
     """
     m = len(bars)
-    p = w_restricted.shape[0]
-    k, l = np.triu_indices(p)
-    cols = outer_columns(bars)[k * p + l]
+    cols = outer_columns(bars)
     # variables: b_1..b_m, gamma
-    a = np.column_stack([cols, cols.sum(axis=1)])
-    w = w_restricted[k, l]
+    a = np.hstack([cols, cols.sum(axis=1, keepdims=True)])
+    w, band = svec(w_restricted), svec(np.full(w_restricted.shape, slack))
     c = np.zeros(m + 1)
     c[m] = -1.0
-    x = linprog(c, np.vstack([a, -a]), np.concatenate([w + slack, slack - w]))
+    x = linprog(c, np.vstack([a, -a]), np.concatenate([w + band, band - w]))
     return None if x is None else float(x[m])
 
 
@@ -336,7 +334,7 @@ def positive_factorization(w: np.ndarray, taus, weights: dict,
         return None if np.linalg.norm(w) > tol.zero_tol else np.zeros((w.shape[0], 0))
     t_hat = np.sum(bst, axis=0)
     gamma = len(bst)
-    target = np.outer(t_hat, t_hat).ravel()
+    target = outer_columns([t_hat])[:, 0]
     for theta in (0.0, 1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6):
         shifted = [b + theta * t_hat for b in bst]
         if theta > 0.0:
@@ -415,7 +413,7 @@ def align_factorizations(b: np.ndarray, m: np.ndarray, tol: Tolerances = Toleran
     m = np.atleast_2d(np.asarray(m, dtype=float))
     if b.shape[0] != m.shape[0]:
         raise ValueError("factor row dimensions differ")
-    if np.linalg.norm(b @ b.T - m @ m.T) > max(tol.zero_tol, 1e-9):
+    if np.linalg.norm(b @ b.T - m @ m.T) > tol.zero_tol:
         return None
 
     def widen(f: np.ndarray, width: int) -> np.ndarray:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .symcore import (NOT_PSD, SymMatError, Tolerances, nnls, outer_columns,
-                      psd_status, symmetrize)
+                      psd_status, smat, svec, symmetrize)
 
 EXACT_COPOSITIVITY_LIMIT = 12
 FACE_CHUNK = 128
@@ -56,16 +56,20 @@ class CpCertificate:
     doubly_nonnegative: bool | None = None
 
     def reconstruct(self, p: int) -> np.ndarray:
-        u = np.zeros((p, p))
-        if self.weights is not None:
-            for w, g in zip(self.weights, self.generators):
-                u += w * np.outer(g, g)
-        return u
+        if self.weights is None:
+            return np.zeros((p, p))
+        return smat(outer_columns(self.generators) @ self.weights, p)
 
 
 def zero_bound(tol: Tolerances) -> float:
     """Bound on |t'Xt| under which a simplex vector t is a zero of X."""
     return min(tol.slack, 0.99)
+
+
+def scale_exponent(x: np.ndarray) -> int:
+    """e such that 2^e is the power of two nearest max|X| (0 for X = 0)."""
+    amax = float(np.max(np.abs(x)))
+    return round(math.log2(amax)) if amax > 0.0 else 0
 
 
 def principal_blocks(x: np.ndarray, size: int):
@@ -123,8 +127,7 @@ def is_copositive(x: np.ndarray, tol: Tolerances = Tolerances()) -> CopVerdict:
         )
     if p == 0:
         raise SymMatError("copositivity needs a matrix of order p >= 1, got order 0")
-    amax = float(np.max(np.abs(x)))
-    e = round(math.log2(amax)) if amax > 0.0 else 0
+    e = scale_exponent(x)
     floor = -math.ldexp(tol.zero_tol, e)  # a Python float keeps member a bool
     diag = np.diag(x)
     k = int(np.argmin(diag))
@@ -246,7 +249,8 @@ def cp_membership(u: np.ndarray, generators, tol: Tolerances = Tolerances()) -> 
     """CP membership relative to a finite nonnegative generator set.
 
     Solves min ||sum_i a_i g_i g_i' - U||_F over a >= 0 (Lawson-Hanson
-    active set via scipy); certificate when the residual is <= zero_tol.
+    active set via scipy) on svec coordinates; certificate when the
+    residual is <= zero_tol.
     The doubly-nonnegative necessary test is reported alongside.
     """
     u = symmetrize(u)
@@ -260,8 +264,8 @@ def cp_membership(u: np.ndarray, generators, tol: Tolerances = Tolerances()) -> 
         if np.min(g) < -tol.zero_tol:
             raise ValueError("generators must be entrywise nonnegative")
     dnn = doubly_nonnegative(u, tol)
-    a = outer_columns(gens)
-    w, _ = nnls(a, u.ravel())
-    resid = float(np.linalg.norm(a @ w - u.ravel()))
+    a, b = outer_columns(gens), svec(u)
+    w, _ = nnls(a, b)
+    resid = float(np.linalg.norm(a @ w - b))
     member = resid <= tol.zero_tol
     return CpCertificate(member, gens, w if member else None, resid, dnn)

@@ -13,13 +13,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cones import cp_membership, doubly_nonnegative, is_copositive
+from .cones import cp_membership, is_copositive
 from .complement import FAIL, DualDecomposition, embed, face_nnls, restrict
 from .symcore import (
     NOT_PSD,
     PSD_INTERIOR,
     Tolerances,
     numerical_rank,
+    outer_columns,
     psd_status,
     smat,
     svec,
@@ -263,16 +264,14 @@ def verify_backward(x_path: list, w_paths: list, zs: ZeroStructure,
         cop = is_copositive(x_eps, tol)
         w_verdicts = []
         for s, w in enumerate(ws):
-            gens = zs.block_vectors(s)
-            cert = cp_membership(w, gens, tol) if gens else None
-            dnn = doubly_nonnegative(w, tol) if cert is None else cert.doubly_nonnegative
+            cert = cp_membership(w, zs.block_vectors(s), tol)
+            dnn = cert.doubly_nonnegative
             # doubly nonnegative is completely positive for order <= 4
-            in_cp = ((cert is not None and cert.member)
-                     or (len(sys.supports[s]) <= 4 and dnn))
+            in_cp = cert.member or (len(sys.supports[s]) <= 4 and dnn)
             w_verdicts.append({
                 "block": s + 1,
                 "in_cp": in_cp,
-                "nnls_residual": None if cert is None else cert.residual,
+                "nnls_residual": cert.residual,
                 "doubly_nonnegative": dnn,
             })
         u_eps = reconstruct_U(sys, ws)
@@ -314,11 +313,10 @@ def express_in_pair_basis(z_mat: np.ndarray, tau_basis: list,
     in their span."""
     if not tau_basis:
         raise ValueError("pair basis must be nonempty")
-    z_mat = symmetrize(z_mat)
+    target = svec(symmetrize(z_mat))
     pairs = pair_index_set(range(len(tau_basis)))
-    cols = np.column_stack([svec(np.outer(g, g))
-                            for g in pair_sums(tau_basis, range(len(tau_basis)))])
-    beta, _, _, _ = np.linalg.lstsq(cols, svec(z_mat), rcond=None)
-    if np.linalg.norm(cols @ beta - svec(z_mat)) > max(tol.zero_tol, 1e-9):
+    cols = outer_columns(pair_sums(tau_basis, range(len(tau_basis))))
+    beta, _, _, _ = np.linalg.lstsq(cols, target, rcond=None)
+    if np.linalg.norm(cols @ beta - target) > tol.zero_tol:
         return FAIL
     return {pair: float(b) for pair, b in zip(pairs, beta)}

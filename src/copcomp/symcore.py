@@ -206,10 +206,11 @@ def null_eigenvalues(lam: np.ndarray, tol: Tolerances) -> np.ndarray:
 
 
 def outer_columns(gens) -> np.ndarray:
-    """C-contiguous (p^2, n) matrix whose columns are vec(g g'), g the rows of gens."""
+    """C-contiguous (p(p+1)/2, n) matrix whose columns are svec(g g'), g the
+    rows of gens, bit for bit: <Y, g g'> is svec(Y) . column."""
     gt = np.ascontiguousarray(np.asarray(gens, dtype=float).T)
-    p, n = gt.shape
-    return (gt[:, None, :] * gt[None, :, :]).reshape(p * p, n)
+    k, l, scale = _svec_index(gt.shape[0])
+    return gt[l] * gt[k] * scale[:, None]
 
 
 def nnls(a, b):
@@ -331,18 +332,6 @@ def _simplex(t, basis, nonbasic, cost, piv, zero, rc_tol) -> bool:
                 return False
         _pivot(t, basis, nonbasic, r, e)
     raise RuntimeError("simplex pivot limit reached")
-
-
-def rank_of_set(mats, tol: Tolerances) -> int:
-    """Rank of a set of symmetric matrices via their stacked svec vectors."""
-    mats = list(mats)
-    if not mats:
-        return 0
-    p = np.asarray(mats[0]).shape[0]
-    for m in mats:
-        if np.asarray(m).shape != (p, p):
-            raise SymMatError("rank_of_set requires matrices of equal order")
-    return rank_of_vectors([svec(np.asarray(m, dtype=float)) for m in mats], tol)
 
 
 def kernel_basis(f: np.ndarray, tol: Tolerances) -> list[np.ndarray]:

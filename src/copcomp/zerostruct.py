@@ -7,11 +7,12 @@ supports, and per-block basis subsets.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cones import CopVerdict, is_copositive, zero_bound
+from .cones import CopVerdict, is_copositive, scale_exponent, zero_bound
 from .symcore import Tolerances, rank_of_vectors, symmetrize
 
 
@@ -88,8 +89,10 @@ def enumerate_zero_vertices(x: np.ndarray, tol: Tolerances = Tolerances(),
     1't = 1 has a unique solution, strictly positive and of value 0.  So the
     vertices are the faces of (c) that :func:`is_copositive` keeps from its
     sweep, ``verdict.zeros`` (it tests (b) at psd_tol, see its docstring),
-    each re-checked here against ``x``.  They have distinct supports and
-    entries above zero_tol, so no two coincide.
+    each re-checked here against ``x``: |t'Xt| and -min(Xt) at most
+    zero_bound(tol) * max(1, 2^e), 2^e the sweep's scale of X (so absolute
+    below unit scale, like its diagonal rule).  They have distinct
+    supports and entries above zero_tol, so no two coincide.
 
     (a) => (b): X tau >= 0 and tau'X tau = 0 give X_I tau_I = 0; a w != 0
     in ker X_I with 1'w = 0 would make tau the midpoint of zeros tau +- eps w.
@@ -113,7 +116,8 @@ def enumerate_zero_vertices(x: np.ndarray, tol: Tolerances = Tolerances(),
             f"matrix is not copositive (min {verdict.min_value:.3e}); "
             "zero structure undefined"
         )
-    candidates = [t for t in verdict.zeros if _is_zero_with_kkt(x, t, zero_bound(tol))]
+    bound = math.ldexp(zero_bound(tol), max(0, scale_exponent(x)))
+    candidates = [t for t in verdict.zeros if _is_zero_with_kkt(x, t, bound)]
     candidates.sort(key=lambda v: tuple(np.round(v, 12)))
     return candidates
 

@@ -32,7 +32,7 @@ from copcomp.paperlab import (
 from scipy.optimize import linprog as scipy_linprog
 from scipy.optimize import nnls
 
-from copcomp.symcore import Tolerances
+from copcomp.symcore import Tolerances, svec
 from copcomp.zerostruct import compute_zero_structure, pair_sums
 
 TOL = Tolerances()
@@ -140,7 +140,7 @@ def test_subset_columns_match_per_subset_loop():
             for combo in itertools.combinations(members, r):
                 ref_labels.append((s, combo))
                 ref_gens.append(np.sum([vectors[j] for j in combo], axis=0))
-    ref_cols = np.column_stack([np.outer(g, g).ravel() for g in ref_gens])
+    ref_cols = np.column_stack([svec(np.outer(g, g)) for g in ref_gens])
     assert labels == ref_labels
     assert np.array_equal(gens, np.array(ref_gens))
     assert np.array_equal(cols, ref_cols)
@@ -336,20 +336,20 @@ def test_face_nnls_prunes_to_zero_and_matches_full_nnls():
         components, coefficients, residual = face_nnls(zs.vertices, zs.blocks, u)
         labels, gens, cols = _subset_columns(zs.vertices, zs.blocks)
         # a column positive where U is exactly zero gets weight exactly 0
-        pruned = np.any(cols[(u == 0.0).ravel()] > 0.0, axis=0)
+        pruned = np.any(cols[svec(u) == 0.0] > 0.0, axis=0)
         for (s, combo), cut in zip(labels, pruned):
             if cut:
                 assert combo not in coefficients[s]
         assert all(w > 0.0 for c in coefficients for w in c.values())
         if not decompose_dual(u, zs, TOL).unique:
             continue
-        w, _ = nnls(cols, u.ravel())
+        w, _ = nnls(cols, svec(u))
         full = [np.zeros_like(u) for _ in zs.blocks]
         for wt, (s, _), g in zip(w, labels, gens):
             full[s] += wt * np.outer(g, g)
         for c, f in zip(components, full):
             assert np.max(np.abs(c - f)) <= 1e-12
-        assert abs(residual - np.linalg.norm(cols @ w - u.ravel())) <= 1e-12
+        assert abs(residual - np.linalg.norm(cols @ w - svec(u))) <= 1e-12
         compared += 1
     assert compared >= 10
 

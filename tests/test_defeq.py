@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 import copcomp.cones as cones
-import copcomp.defeq as defeq
 from copcomp.complement import decompose_dual, restrict
 from copcomp.cones import cp_membership, doubly_nonnegative
 from copcomp.defeq import (
@@ -234,6 +233,42 @@ def test_solve_local_free_entry_direction():
         assert np.linalg.norm(w - w0) <= 1e-9
 
 
+def _fixed_point_anchors():
+    s4, h = build_s4(), build_extremal5()
+    x8, u8 = np.zeros((8, 8)), np.zeros((8, 8))
+    x8[:5, :5], u8[:5, :5] = h["x"], h["u"]
+    for x0, u0 in ((s4["x"], s4["u"]), (h["x"], h["u"]), (x8, u8)):
+        zs = compute_zero_structure(x0, TOL)
+        yield x0, build_system(zs, decompose_dual(u0, zs, TOL))
+
+
+def test_solve_local_halves_the_anchor_w_to_its_fixed_point():
+    # J_W svec(W) = r(X, W), so each damped step halves W and r: solve_local
+    # returns 2^-k W0 with k the first count that brings 2^-k max|r(X, W0)|
+    # to zero_tol
+    rng = np.random.default_rng(20261018)
+    checked = 0
+    for x0, sys in _fixed_point_anchors():
+        _, ws0 = sys.split(sys.anchor)
+        p = x0.shape[0]
+        for _ in range(4):
+            e = rng.standard_normal((p, p))
+            e = 0.5 * (e + e.T)
+            for eps in (1e-2, 1e-3, 1e-4):
+                x = x0 + eps * e
+                r0 = np.max(np.abs(residual(sys, sys.pack(x, ws0))))
+                k = 0
+                while np.ldexp(r0, -k) > TOL.zero_tol:
+                    k += 1
+                ws = solve_local(sys, x, TOL)
+                assert isinstance(ws, list) and 0 < k <= 50
+                for w, w0 in zip(ws, ws0):
+                    ref = np.ldexp(w0, -k)
+                    assert np.max(np.abs(w - ref)) <= 1e-6 * np.max(np.abs(ref))
+                checked += 1
+    assert checked == 36
+
+
 def test_solve_local_identity_forces_zero_w():
     data, zs, dd, sys = _anchor("s4")
     ws = solve_local(sys, np.eye(3), TOL)
@@ -325,7 +360,6 @@ def test_verify_backward_tests_each_block_doubly_nonnegative_once(monkeypatch):
         return doubly_nonnegative(u, tol)
 
     monkeypatch.setattr(cones, "doubly_nonnegative", counted)
-    monkeypatch.setattr(defeq, "doubly_nonnegative", counted)
     got = [r["w_blocks"] for xs, wss, zs, dd in points
            for r in verify_backward(xs, wss, zs, dd, TOL)]
     assert got == expected

@@ -18,7 +18,6 @@ from copcomp.symcore import (
     numerical_rank,
     outer_columns,
     psd_status,
-    rank_of_set,
     rank_of_vectors,
     smat,
     svec,
@@ -170,8 +169,8 @@ def test_rank_utilities():
     assert rank_of_vectors([], tol) == 0
     assert rank_of_vectors([np.array([1.0, 1.0]), np.array([2.0, 2.0])], tol) == 1
     mats = [np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]])]
-    assert rank_of_set(mats, tol) == 2
-    assert rank_of_set(mats + [mats[0] + mats[1]], tol) == 2
+    assert rank_of_vectors([svec(m) for m in mats], tol) == 2
+    assert rank_of_vectors([svec(m) for m in mats + [mats[0] + mats[1]]], tol) == 2
 
 
 def _null_scalar(lam, tol):
@@ -236,7 +235,7 @@ def test_outer_columns_match_column_stack_bit_for_bit():
     rng = np.random.default_rng(20261021)
     for p, n in ((1, 1), (3, 1), (3, 6), (5, 31), (12, 7)):
         gens = [rng.random(p) * 10.0 ** rng.uniform(-3, 3) for _ in range(n)]
-        ref = np.column_stack([np.outer(g, g).ravel() for g in gens])
+        ref = np.column_stack([svec(np.outer(g, g)) for g in gens])
         for form in (gens, np.array(gens)):
             cols = outer_columns(form)
             assert cols.flags["C_CONTIGUOUS"]

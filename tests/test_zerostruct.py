@@ -117,6 +117,19 @@ def test_extremal5_vertices_and_blocks():
     assert len(zs.basis[0]) == 3  # numerical rank of the five vertices
 
 
+@pytest.mark.parametrize("c", [2.0 ** -20, 1e4, 1e8])
+def test_scaled_hildebrand_keeps_its_five_zero_vertices(c):
+    # the re-check of the sweep's zeros scales with max|X| above unit
+    # scale: at c = 1e8 roundoff puts min(c X tau) near -3e-8, past the
+    # unscaled bound -zero_bound(tol) = -1e-8
+    x = build_extremal5()["x"]
+    ref = enumerate_zero_vertices(x, TOL)
+    got = enumerate_zero_vertices(c * x, TOL)
+    assert len(ref) == len(got) == 5
+    for t, r in zip(got, ref):
+        assert np.max(np.abs(t - r)) <= 1e-12
+
+
 def test_vertices_satisfy_kkt():
     for builder in (build_s4, build_extremal5):
         x = builder()["x"]
