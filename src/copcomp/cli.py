@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import sys
@@ -163,7 +164,10 @@ def cmd_scenario(args, tol: Tolerances) -> int:
     return 0 if all(r["passed"] for r in records) else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parse_args keeps
+    no state between calls, and building it costs more than parsing."""
     parser = argparse.ArgumentParser(
         prog="copcomp",
         description="complementarity analysis for the copositive cone")

@@ -248,9 +248,9 @@ def doubly_nonnegative(u: np.ndarray, tol: Tolerances) -> bool:
 def cp_membership(u: np.ndarray, generators, tol: Tolerances = Tolerances()) -> CpCertificate:
     """CP membership relative to a finite nonnegative generator set.
 
-    Solves min ||sum_i a_i g_i g_i' - U||_F over a >= 0 (Lawson-Hanson
-    active set via scipy) on svec coordinates; certificate when the
-    residual is <= zero_tol.
+    Solves min ||sum_i a_i g_i g_i' - U||_F over a >= 0 (the Lawson-Hanson
+    active set of :func:`symcore.nnls`) on svec coordinates; certificate
+    when the residual is <= zero_tol.
     The doubly-nonnegative necessary test is reported alongside.
     """
     u = symmetrize(u)

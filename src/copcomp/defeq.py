@@ -184,19 +184,20 @@ def solve_local(sys: DefiningSystem, x_perturbed: np.ndarray,
     """Damped Gauss-Newton on the W variables with X frozen.
 
     The residual is linear in W for fixed X, so this is a guarded linear
-    least-squares iteration initialized at the anchor W(s).  Returns the
-    W(s) list, or (NO_CONVERGENCE, final_residual).
+    least-squares iteration initialized at the anchor W(s), and its W
+    columns J_W of the Jacobian, which depend on X alone, are built once.
+    Returns the W(s) list, or (NO_CONVERGENCE, final_residual).
     """
     x_perturbed = symmetrize(x_perturbed)
     _, ws0 = sys.split(sys.anchor)
     z = sys.pack(x_perturbed, ws0)
     p_star = sys.p_star
+    jw = jacobian(sys, z)[:, p_star:]
     for _ in range(50):
         r = residual(sys, z)
         if r.size == 0 or np.linalg.norm(r, ord=np.inf) <= tol.zero_tol:
             _, ws = sys.split(z)
             return ws
-        jw = jacobian(sys, z)[:, p_star:]
         step, _, _, _ = np.linalg.lstsq(jw, r, rcond=None)
         z[p_star:] -= 0.5 * step
     r = residual(sys, z)

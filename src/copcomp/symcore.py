@@ -1,6 +1,7 @@
 """Symmetric-matrix primitives: svec/smat, symmetric Kronecker product,
-spectral and rank utilities with explicit tolerances, the one door to
-scipy's NNLS solver, and a dense simplex for small linear programs.
+spectral and rank utilities with explicit tolerances, and the two
+solvers the package needs, both on numpy alone: Lawson-Hanson
+nonnegative least squares and a dense simplex for small linear programs.
 
 All routines operate on dense symmetric numpy arrays in float64.  The svec
 convention scales off-diagonal entries by sqrt(2) so that
@@ -24,6 +25,12 @@ SQRT2 = np.sqrt(2.0)
 LP_PIVOT_TOL = 1e-9
 LP_ZERO_TOL = 1e-13
 LP_MAX_PIVOTS_PER_ROW = 50
+
+# NNLS stops when no gradient entry on a unit column exceeds
+# NNLS_GRAD_TOL * max(m, n) * ||b||, the rounding level of the residual;
+# the cap on columns entering only stops a run that rounding keeps going.
+NNLS_GRAD_TOL = 10 * np.finfo(float).eps
+NNLS_MAX_STEPS_PER_COLUMN = 3
 
 NOT_PSD = "NOT_PSD"
 PSD_BOUNDARY = "PSD_BOUNDARY"
@@ -214,11 +221,61 @@ def outer_columns(gens) -> np.ndarray:
 
 
 def nnls(a, b):
-    """scipy's NNLS, imported at the first fit: loading scipy.optimize
-    takes most of copcomp's start-up time, and the steps that run on numpy
-    alone should not pay for it."""
-    from scipy.optimize import nnls as solve
-    return solve(a, b)
+    """Minimize ||a x - b|| over x >= 0; returns (x, ||a x - b||).
+
+    Lawson and Hanson's active-set method (Solving Least Squares Problems,
+    1974, ch. 23), run on the unit columns a_j / ||a_j||: the minimizers
+    correspond, and unit columns take far fewer exchanges on the
+    subset-sum families this package fits.  Each passive set is solved by
+    least squares on its own columns, and the x returned is exactly that
+    solution, rescaled, so every weight it holds is positive.  A column
+    enters only while its gradient entry exceeds the rounding level and
+    its weight in the new solve comes out positive; otherwise rounding
+    would let it enter and leave forever.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    m, n = a.shape
+    norms = np.linalg.norm(a, axis=0)
+    scale = np.where(norms > 0.0, norms, 1.0)
+    q = a / scale
+    tol = NNLS_GRAD_TOL * max(m, n) * np.linalg.norm(b)
+    x = np.zeros(n)
+    passive = np.zeros(n, dtype=bool)
+    w = q.T @ b
+    steps = 0
+    while True:
+        w[passive] = -np.inf
+        if not np.any(w > tol):
+            x /= scale
+            return x, float(np.linalg.norm(a @ x - b))
+        j = int(np.argmax(w))
+        passive[j] = True
+        s = _passive_solve(q, b, passive)
+        if s[j] <= 0.0:  # column j does not lower the residual after all
+            passive[j] = False
+            w[j] = -np.inf
+            continue
+        steps += 1
+        if steps > NNLS_MAX_STEPS_PER_COLUMN * n:
+            raise RuntimeError("NNLS iteration limit reached")
+        while np.any(s[passive] <= 0.0):
+            # step from x toward s until the first passive weight hits 0
+            neg = np.flatnonzero(passive & (s <= 0.0))
+            ratios = x[neg] / (x[neg] - s[neg])
+            x += ratios.min() * (s - x)
+            x[neg[ratios.argmin()]] = 0.0
+            passive &= x > 0.0
+            s = _passive_solve(q, b, passive)
+        x = s
+        w = q.T @ (b - q @ x)
+
+
+def _passive_solve(q, b, passive) -> np.ndarray:
+    """Least-squares weights on the passive columns of q, zero elsewhere."""
+    s = np.zeros(q.shape[1])
+    s[passive] = np.linalg.lstsq(q[:, passive], b, rcond=None)[0]
+    return s
 
 
 def linprog(c, a_ub, b_ub):

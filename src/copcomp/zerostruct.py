@@ -123,13 +123,16 @@ def enumerate_zero_vertices(x: np.ndarray, tol: Tolerances = Tolerances(),
 
 
 def compute_contact_set(x: np.ndarray, tau: np.ndarray, tol: Tolerances = Tolerances()) -> tuple[int, ...]:
-    """M(j) = {k : e_k' X tau = 0} for a zero tau of X."""
+    """M(j) = {k : e_k' X tau = 0} for a zero tau of X: the k with
+    |(X tau)_k| <= zero_tol * max(1, 2^e), 2^e the scale of X, the rule
+    of :func:`enumerate_zero_vertices`, so M(j) is the same for cX."""
     x = symmetrize(x)
     tau = np.asarray(tau, dtype=float)
     if abs(float(tau @ x @ tau)) > tol.slack:
         raise ZeroStructureError("tau is not a zero of X within tolerance")
     g = x @ tau
-    contact = tuple(int(k) for k in np.nonzero(np.abs(g) <= tol.zero_tol)[0])
+    bound = math.ldexp(tol.zero_tol, max(0, scale_exponent(x)))
+    contact = tuple(int(k) for k in np.nonzero(np.abs(g) <= bound)[0])
     supp = support_of(tau, tol)
     if not set(supp) <= set(contact):
         raise ZeroStructureError("contact set does not contain supp(tau)")

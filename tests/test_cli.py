@@ -118,6 +118,25 @@ def test_bad_flag_exit_2_before_any_work(s4_files, capsys, monkeypatch, argv):
     assert err.startswith("input error: ") and "Traceback" not in err
 
 
+def test_one_parser_gives_each_call_its_own_flags(s4_files, capsys):
+    # the parser is built once per process; no flag of one call leaks
+    # into the next
+    assert cli.build_parser() is cli.build_parser()
+    x = s4_files[0]
+    assert main(["analyze", x, "--zero-tol", "1e-8", "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["tolerances"]["zero_tol"] == 1e-8
+    assert main(["analyze", x]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("copcomp ") and "tolerances: zero=1e-09 " in out
+    assert main(["analyze", x, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["tolerances"]["zero_tol"] == 1e-9
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", x, "--no-such-flag"])
+    assert exc.value.code == 2
+    assert main(["analyze", x, "--zero-tol", "0"]) == 2
+
+
 def test_analyze_oracle_flag(s4_files, capsys):
     rc = main(["analyze", s4_files[0], "--verify-oracle", "--grid-depth", "8"])
     assert rc == 0
@@ -378,27 +397,34 @@ def test_analyze_zero_block_component_report(tmp_path, capsys):
 
 
 _IMPORT_PATH_SCRIPT = """
+import contextlib
+import io
 import sys
-sys.path.insert(0, sys.argv[1])
-x, u, missing = sys.argv[2:]
+if sys.argv[1] == "blocked":
+    sys.modules["scipy"] = None  # any import of scipy now raises
+sys.path.insert(0, sys.argv[2])
+x, u, missing = sys.argv[3:]
 from copcomp.cli import main
-from copcomp.symcore import linprog
-assert main(["scenario", "list"]) == 0
-assert main(["analyze", x]) == 0
-assert main(["analyze", missing]) == 2
-assert linprog([-1.0], [[1.0]], [1.0]).tolist() == [1.0]
-assert "scipy.optimize" not in sys.modules, "numpy-only steps loaded scipy"
-assert main(["analyze", x, u]) == 0
-assert "scipy.optimize" in sys.modules
+from copcomp.paperlab import scenario_names
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["scenario", "list"]) == 0
+    assert main(["analyze", x]) == 0
+    assert main(["analyze", missing]) == 2
+    assert main(["analyze", x, u]) == 0
+    for name in scenario_names():
+        assert main(["scenario", "run", name]) == 0, name
+assert sys.modules.get("scipy") is None, "a copcomp run loaded scipy"
 """
 
 
-def test_scipy_optimize_loads_at_the_first_solve(s4_files, tmp_path):
-    # a fresh interpreter: this one has scipy.optimize loaded already.  The
-    # LP solver runs on numpy, so the first NNLS fit is what loads it.
+def test_no_copcomp_run_imports_scipy(s4_files, tmp_path):
+    # a fresh interpreter: this one has scipy loaded for the reference
+    # solvers.  Both the LP and the NNLS run on numpy, so no command loads
+    # scipy, and every one still works where importing it would fail.
     src = Path(cli.__file__).resolve().parents[1]
-    proc = subprocess.run(
-        [sys.executable, "-c", _IMPORT_PATH_SCRIPT, str(src), *s4_files,
-         str(tmp_path / "absent.json")],
-        capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
+    for scipy in ("absent", "blocked"):
+        proc = subprocess.run(
+            [sys.executable, "-c", _IMPORT_PATH_SCRIPT, scipy, str(src),
+             *s4_files, str(tmp_path / "absent.json")],
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, (scipy, proc.stderr)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import copcomp.cones as cones
+import copcomp.defeq as defeq
 from copcomp.complement import decompose_dual, restrict
 from copcomp.cones import cp_membership, doubly_nonnegative
 from copcomp.defeq import (
@@ -267,6 +268,44 @@ def test_solve_local_halves_the_anchor_w_to_its_fixed_point():
                     assert np.max(np.abs(w - ref)) <= 1e-6 * np.max(np.abs(ref))
                 checked += 1
     assert checked == 36
+
+
+def _solve_local_rebuilding_jacobian(sys, x):
+    """solve_local as it was with the Jacobian rebuilt at every step."""
+    _, ws0 = sys.split(sys.anchor)
+    z = sys.pack(x, ws0)
+    for _ in range(50):
+        r = residual(sys, z)
+        if np.linalg.norm(r, ord=np.inf) <= TOL.zero_tol:
+            return sys.split(z)[1]
+        jw = jacobian(sys, z)[:, sys.p_star:]
+        z[sys.p_star:] -= 0.5 * np.linalg.lstsq(jw, r, rcond=None)[0]
+    return None
+
+
+def test_solve_local_builds_the_jacobian_once(monkeypatch):
+    # J_W depends on the frozen X alone: one Jacobian per call, and the
+    # same W(s) bit for bit as rebuilding it at every step
+    calls = []
+
+    def counted(sys, z):
+        calls.append(1)
+        return jacobian(sys, z)
+
+    monkeypatch.setattr(defeq, "jacobian", counted)
+    rng = np.random.default_rng(20261019)
+    solved = 0
+    for x0, sys in _fixed_point_anchors():
+        p = x0.shape[0]
+        e = rng.standard_normal((p, p))
+        for x in (x0, x0 + 1e-3 * (e + e.T), np.eye(p)):
+            calls.clear()
+            ws = solve_local(sys, x, TOL)
+            assert isinstance(ws, list) and len(calls) == 1
+            ref = _solve_local_rebuilding_jacobian(sys, x)
+            assert all(np.array_equal(w, r) for w, r in zip(ws, ref))
+            solved += 1
+    assert solved == 9
 
 
 def test_solve_local_identity_forces_zero_w():

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from copcomp.paperlab import build_s4
+from copcomp.paperlab import build_extremal5, build_s4
 from copcomp.symcore import (
     NOT_PSD,
     PSD_BOUNDARY,
@@ -14,6 +14,7 @@ from copcomp.symcore import (
     check_symmetric,
     kernel_basis,
     linprog,
+    nnls,
     null_eigenvalues,
     numerical_rank,
     outer_columns,
@@ -28,6 +29,7 @@ from copcomp.symcore import (
     symmat_to_json,
     symmetrize,
 )
+from copcomp.zerostruct import enumerate_zero_vertices
 
 RNG = np.random.default_rng(20240817)
 
@@ -285,10 +287,10 @@ def test_symmetrize_rejects_nonsquare():
         symmetrize(np.zeros((2, 3)))
 
 
-def test_one_lazy_door_to_scipy_solvers():
+def test_one_door_to_each_numpy_solver():
     # the bench tracer and the tests wrap complement.nnls/linprog; the CP
-    # membership test fits through the same function.  Only NNLS goes to
-    # scipy: linprog is the in-repo simplex, which returns the optimal x
+    # membership test fits through the same function.  Both are in-repo:
+    # nnls returns (x, residual) as scipy's did, linprog the optimal x
     # itself rather than scipy's OptimizeResult.
     import copcomp.complement as complement
     import copcomp.cones as cones
@@ -296,8 +298,71 @@ def test_one_lazy_door_to_scipy_solvers():
 
     assert cones.nnls is complement.nnls is symcore.nnls
     assert complement.linprog is symcore.linprog
+    x, rnorm = symcore.nnls([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [2.0, 1.0, 1.0])
+    assert x.tolist() == pytest.approx([1.5, 1.0], abs=1e-15)
+    assert rnorm == pytest.approx(np.sqrt(0.5), abs=1e-15)
     x = symcore.linprog([-1.0], [[1.0]], [2.0])
     assert isinstance(x, np.ndarray) and x.tolist() == [2.0]
+
+
+def _subset_family(vectors):
+    """svec(g g') over the subset sums g of all the vectors (rows)."""
+    n = len(vectors)
+    gens = [sum(vectors[k] for k in range(n) if mask >> k & 1)
+            for mask in range(1, 2 ** n)]
+    return outer_columns(gens)
+
+
+def _nnls_corpus():
+    """(name, a, b): random full-rank systems, the subset-sum families of
+    H(theta*) (rank 6, 31 columns) and H(theta*) + 0_3 (255 columns) with
+    targets in and outside their cones, and the edge cases."""
+    rng = np.random.default_rng(20261020)
+    for m, n in ((12, 5), (20, 20), (8, 15), (40, 25)):
+        for k in range(3):
+            a = rng.standard_normal((m, n))
+            yield f"random{m}x{n}-{k}", a, rng.standard_normal(m)
+    h = build_extremal5()
+    taus = enumerate_zero_vertices(h["x"], Tolerances())
+    a5 = _subset_family(np.asarray(taus))
+    pad = [np.pad(t, (0, 3)) for t in taus] + list(np.eye(8)[5:])
+    a8 = _subset_family(np.asarray(pad))
+    u8 = np.zeros((8, 8))
+    u8[:5, :5] = h["u"]
+    yield "hildebrand-u", a5, svec(h["u"])
+    yield "padded-u", a8, svec(u8)
+    for k in range(4):
+        for name, a in (("hildebrand", a5), ("padded", a8)):
+            inside = a @ (rng.random(a.shape[1]) * (rng.random(a.shape[1]) < 0.3))
+            yield f"{name}-cone-{k}", a, inside
+            yield f"{name}-off-{k}", a, inside + 0.1 * rng.standard_normal(len(inside))
+    a = rng.random((10, 6))
+    yield "zero-target", a, np.zeros(10)
+    a[:, 2] = 0.0
+    yield "zero-column", a, a @ rng.random(6)
+    yield "outside", a, -rng.random(10)
+
+
+def test_nnls_matches_scipys_residual_with_kkt_on_every_corpus_system():
+    from scipy.optimize import nnls as scipy_nnls
+
+    cases = 0
+    for name, a, b in _nnls_corpus():
+        x, rnorm = nnls(a, b)
+        assert x.shape == (a.shape[1],) and np.all(x >= 0.0), name
+        assert np.all(x[~a.any(axis=0)] == 0.0), name
+        r = b - a @ x
+        assert rnorm == np.linalg.norm(r), name
+        # KKT: the gradient a'(b - a x) is <= 0 everywhere and 0 where x > 0,
+        # to rounding on the unit columns
+        grad = (a.T @ r) / np.maximum(np.linalg.norm(a, axis=0), 1e-300)
+        bound = 1e-12 * max(1.0, np.linalg.norm(b))
+        assert np.all(grad <= bound), (name, grad.max())
+        assert np.all(np.abs(grad[x > 0.0]) <= bound), name
+        _, ref = scipy_nnls(a, b)
+        assert abs(rnorm - ref) <= 1e-12 * max(1.0, np.linalg.norm(b)), name
+        cases += 1
+    assert cases == 33
 
 
 def test_linprog_ends_beales_cycling_example_at_its_optimum():

@@ -130,6 +130,18 @@ def test_scaled_hildebrand_keeps_its_five_zero_vertices(c):
         assert np.max(np.abs(t - r)) <= 1e-12
 
 
+@pytest.mark.parametrize("c", [2.0 ** -20, 1e4, 1e8])
+def test_scaled_hildebrand_keeps_its_contact_sets_and_blocks(c):
+    # the contact rule |(X tau)_k| <= zero_tol scales with max|X| as the
+    # vertex re-check does: at c = 1e8, (c X tau)_k on supp(tau) is
+    # -1.3e-8 to -3.4e-8 from roundoff alone
+    x = build_extremal5()["x"]
+    ref = compute_zero_structure(x, TOL)
+    got = compute_zero_structure(c * x, TOL)
+    assert got.contact_sets == ref.contact_sets
+    assert got.blocks == ref.blocks and got.supports == ref.supports
+
+
 def test_vertices_satisfy_kkt():
     for builder in (build_s4, build_extremal5):
         x = builder()["x"]
