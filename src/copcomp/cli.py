@@ -166,8 +166,8 @@ def cmd_scenario(args, tol: Tolerances) -> int:
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once per process: parse_args keeps
-    no state between calls, and building it costs more than parsing."""
+    """The command-line parser, built once per process; parse_args keeps
+    no state between calls, so each call still gets its own namespace."""
     parser = argparse.ArgumentParser(
         prog="copcomp",
         description="complementarity analysis for the copositive cone")

@@ -246,10 +246,10 @@ def nnls(a, b):
     steps = 0
     while True:
         w[passive] = -np.inf
-        if not np.any(w > tol):
+        j = w.argmax() if n else 0
+        if not n or w[j] <= tol:
             x /= scale
             return x, float(np.linalg.norm(a @ x - b))
-        j = int(np.argmax(w))
         passive[j] = True
         s = _passive_solve(q, b, passive)
         if s[j] <= 0.0:  # column j does not lower the residual after all
@@ -259,12 +259,13 @@ def nnls(a, b):
         steps += 1
         if steps > NNLS_MAX_STEPS_PER_COLUMN * n:
             raise RuntimeError("NNLS iteration limit reached")
-        while np.any(s[passive] <= 0.0):
+        while s[passive].min() <= 0.0:
             # step from x toward s until the first passive weight hits 0
-            neg = np.flatnonzero(passive & (s <= 0.0))
+            neg = (passive & (s <= 0.0)).nonzero()[0]
             ratios = x[neg] / (x[neg] - s[neg])
-            x += ratios.min() * (s - x)
-            x[neg[ratios.argmin()]] = 0.0
+            k = ratios.argmin()
+            x += ratios[k] * (s - x)
+            x[neg[k]] = 0.0
             passive &= x > 0.0
             s = _passive_solve(q, b, passive)
         x = s

@@ -125,7 +125,7 @@ def enumerate_zero_vertices(x: np.ndarray, tol: Tolerances = Tolerances(),
 def compute_contact_set(x: np.ndarray, tau: np.ndarray, tol: Tolerances = Tolerances()) -> tuple[int, ...]:
     """M(j) = {k : e_k' X tau = 0} for a zero tau of X: the k with
     |(X tau)_k| <= zero_tol * max(1, 2^e), 2^e the scale of X, the rule
-    of :func:`enumerate_zero_vertices`, so M(j) is the same for cX."""
+    of :func:`enumerate_zero_vertices`, so scaling X up keeps M(j)."""
     x = symmetrize(x)
     tau = np.asarray(tau, dtype=float)
     if abs(float(tau @ x @ tau)) > tol.slack:
