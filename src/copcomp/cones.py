@@ -66,10 +66,12 @@ def zero_bound(tol: Tolerances) -> float:
     return min(tol.slack, 0.99)
 
 
-def scale_exponent(x: np.ndarray) -> int:
-    """e such that 2^e is the power of two nearest max|X| (0 for X = 0)."""
-    amax = float(np.max(np.abs(x)))
-    return round(math.log2(amax)) if amax > 0.0 else 0
+def unit_scale(x: np.ndarray) -> tuple[np.ndarray, int]:
+    """(X / 2^e, e), 2^e the power of two nearest max|X|, read off the
+    exponent bits (e = 0 for X = 0): the one copy of X every zero-structure
+    test reads.  Dividing is exact, so 2^k X has the same copy, with e + k."""
+    e = math.frexp(math.sqrt(0.5) * float(np.max(np.abs(x), initial=0.0)))[1]
+    return np.ldexp(x, -e), e
 
 
 def principal_blocks(x: np.ndarray, size: int):
@@ -82,37 +84,35 @@ def principal_blocks(x: np.ndarray, size: int):
 def is_copositive(x: np.ndarray, tol: Tolerances = Tolerances()) -> CopVerdict:
     """Exact combinatorial copositivity decision for small orders.
 
+    Every test below reads X / 2^e of :func:`unit_scale`, so 2^k X gets
+    the verdict, ``argmin`` and ``zeros`` of X and 2^k times its
+    ``min_value``, the one output mapped back to the units of X.
     Minimizes t'Xt over the simplex by enumerating KKT supports; member
-    iff the minimum is >= -zero_tol * 2^e (2^e as below).  A diagonal
-    entry under that floor short circuits with a coordinate-vector witness.
+    iff the minimum is >= -zero_tol.  A diagonal entry under that floor
+    short circuits with a coordinate-vector witness.
 
     A face I is solved only when its KKT system 2 X_I t = lam * 1,
     sum(t) = 1 has a unique solution: its bordered matrix has full
     numerical rank (smallest singular value above lstsq's cutoff
     eps * (k + 1) * sigma_max, up to FACE_CHUNK faces in one batched SVD),
     and the solution is read from the SVD by plain division.  A solution
-    that is nonnegative within zero_tol is a candidate of value t'Xt,
-    evaluated on X itself.  A rank-deficient face needs no solve: lam/2 =
-    t'X_I t is the same at every KKT point, and a feasible one can be moved
-    along the kernel to a vertex of the feasible polytope, which lies on a
-    smaller face.  Repeating the step ends on a face whose KKT system has
-    a single, strictly positive solution, so that face records the same
-    value and no minimum is lost.
+    that is nonnegative within zero_tol is a candidate of value t'Xt.  A
+    rank-deficient face needs no solve: lam/2 = t'X_I t is the same at
+    every KKT point, and a feasible one can be moved along the kernel to a
+    vertex of the feasible polytope, which lies on a smaller face.
+    Repeating the step ends on a face whose KKT system has a single,
+    strictly positive solution, so that face records the same value and no
+    minimum is lost.
 
     A solved face's t goes to ``zeros`` when it is strictly positive (above
     zero_tol), |t'Xt| <= zero_bound(tol), and X_I has exactly one eigenvalue
     within delta = psd_tol * max(1, sigma_max) of 0, the rule of
-    ``null_eigenvalues``, with sigma_max, sigma_min the bordered matrix's
-    extreme singular values times c = 2^(e-1).  The Rayleigh quotient
+    ``null_eigenvalues``, with sigma_max, sigma_min the extreme singular
+    values of the symmetric [[X_I, 1/2], [1/2', 0]].  The Rayleigh quotient
     t'X_I t / t't <= delta shows one; sigma_min > delta shows there is no
-    second, as the eigenvalues of X_I interlace those of the symmetric
-    [[X_I, c 1], [c 1', 0]], whose moduli are the singular values.  With a
-    second, t would be an inner point of an edge of the zero set.  A
-    diagonal entry with |x_kk| <= psd_tol gives e_k.
-
-    The KKT matrices are built from X / 2^e, so neither the rank test nor
-    the member floor depends on the scale of X (scaling by a power of two
-    is exact, and unit-scale X is not scaled).
+    second, as the eigenvalues of X_I interlace those of that matrix, whose
+    moduli are its singular values.  With a second, t would be an inner
+    point of an edge of the zero set.  |x_kk| <= psd_tol gives e_k.
 
     ``argmin`` is the first minimizer in support order (by size, then
     lexicographic).  When minimizers tie, rounding can decide which one
@@ -127,16 +127,15 @@ def is_copositive(x: np.ndarray, tol: Tolerances = Tolerances()) -> CopVerdict:
         )
     if p == 0:
         raise SymMatError("copositivity needs a matrix of order p >= 1, got order 0")
-    e = scale_exponent(x)
-    floor = -math.ldexp(tol.zero_tol, e)  # a Python float keeps member a bool
+    x, e = unit_scale(x)
     diag = np.diag(x)
     k = int(np.argmin(diag))
     best_val = float(diag[k])
     best_t = np.zeros(p)
     best_t[k] = 1.0
-    if best_val < floor:
-        return CopVerdict(member=False, min_value=best_val, argmin=best_t,
-                          witness=best_t, supports_checked=0)
+    if best_val < -tol.zero_tol:
+        return CopVerdict(member=False, min_value=math.ldexp(best_val, e),
+                          argmin=best_t, witness=best_t, supports_checked=0)
 
     bound = zero_bound(tol)
     zeros = list(np.eye(p)[np.abs(diag) <= tol.psd_tol])
@@ -146,7 +145,7 @@ def is_copositive(x: np.ndarray, tol: Tolerances = Tolerances()) -> CopVerdict:
         for lo in range(0, len(all_supports), FACE_CHUNK):
             supports, xi = all_supports[lo:lo + FACE_CHUNK], all_xi[lo:lo + FACE_CHUNK]
             a = np.zeros((len(supports), size + 1, size + 1))
-            a[:, :size, :size] = np.ldexp(xi, 1 - e)
+            a[:, :size, :size] = 2.0 * xi
             a[:, :size, size] = -1.0
             a[:, size, :size] = 1.0
             u, sig, vt = np.linalg.svd(a)
@@ -161,7 +160,7 @@ def is_copositive(x: np.ndarray, tol: Tolerances = Tolerances()) -> CopVerdict:
             vals = np.einsum("mi,mij,mj->m", ti, xi[full][ok], ti)
             rows = np.zeros((len(ti), p))
             np.put_along_axis(rows, supports[full][ok], ti, axis=1)
-            s = np.ldexp(sig[full][ok], e - 1)  # in the units of X
+            s = 0.5 * sig[full][ok]  # those of [[X_I, 1/2], [1/2', 0]]
             delta = tol.psd_tol * np.maximum(1.0, s[:, 0])
             ray = vals / np.einsum("mi,mi->m", ti, ti)
             vertex = (np.min(ti, axis=1) > tol.zero_tol) & (np.abs(vals) <= bound)
@@ -169,9 +168,9 @@ def is_copositive(x: np.ndarray, tol: Tolerances = Tolerances()) -> CopVerdict:
             m = int(np.argmin(vals))
             if vals[m] < best_val:
                 best_val, best_t = float(vals[m]), rows[m].copy()
-    member = best_val >= floor
+    member = best_val >= -tol.zero_tol
     witness = None if member else best_t
-    return CopVerdict(member=member, min_value=best_val, argmin=best_t,
+    return CopVerdict(member=member, min_value=math.ldexp(best_val, e), argmin=best_t,
                       witness=witness, supports_checked=2 ** p - 1, zeros=zeros)
 
 
@@ -265,7 +264,6 @@ def cp_membership(u: np.ndarray, generators, tol: Tolerances = Tolerances()) -> 
             raise ValueError("generators must be entrywise nonnegative")
     dnn = doubly_nonnegative(u, tol)
     a, b = outer_columns(gens), svec(u)
-    w, _ = nnls(a, b)
-    resid = float(np.linalg.norm(a @ w - b))
+    w, resid = nnls(a, b)
     member = resid <= tol.zero_tol
     return CpCertificate(member, gens, w if member else None, resid, dnn)

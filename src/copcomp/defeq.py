@@ -186,7 +186,11 @@ def solve_local(sys: DefiningSystem, x_perturbed: np.ndarray,
     The residual is linear in W for fixed X, so this is a guarded linear
     least-squares iteration initialized at the anchor W(s), and its W
     columns J_W of the Jacobian, which depend on X alone, are built once.
-    Returns the W(s) list, or (NO_CONVERGENCE, final_residual).
+    Returns the W(s) list, or (NO_CONVERGENCE, final_residual).  As
+    r(X, W) = J_W svec(W) is homogeneous in W, when J_W has full column
+    rank (at a generic X near the anchor) each damped step halves W: the
+    result is 2^-k W0(s), k the first count with 2^-k max|r(X, W0)| <=
+    zero_tol (0 at the anchor X), and NO_CONVERGENCE past k = 50.
     """
     x_perturbed = symmetrize(x_perturbed)
     _, ws0 = sys.split(sys.anchor)

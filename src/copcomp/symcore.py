@@ -80,12 +80,13 @@ def symmetrize(a) -> np.ndarray:
 
 
 def check_symmetric(a, tol: float = 1e-12) -> np.ndarray:
-    """Symmetrize ``a`` if its asymmetry is at most tol * max(1, max|a|)."""
+    """Symmetrize ``a`` if its asymmetry is at most tol * max|a|, a bound
+    that scales with ``a``, so c a loads exactly when ``a`` does."""
     sym = symmetrize(a)
     a = np.asarray(a, dtype=float)
     with np.errstate(over="ignore"):
         asym = np.max(np.abs(a - a.T)) if a.size else 0.0
-    bound = tol * np.max(np.abs(a), initial=1.0)
+    bound = tol * np.max(np.abs(a), initial=0.0)
     if asym > bound:
         raise SymMatError(f"matrix asymmetry {asym:.3e} exceeds {bound:.3e}")
     return sym

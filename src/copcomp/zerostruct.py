@@ -7,12 +7,11 @@ supports, and per-block basis subsets.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cones import CopVerdict, is_copositive, scale_exponent, zero_bound
+from .cones import CopVerdict, is_copositive, unit_scale, zero_bound
 from .symcore import Tolerances, rank_of_vectors, symmetrize
 
 
@@ -89,10 +88,10 @@ def enumerate_zero_vertices(x: np.ndarray, tol: Tolerances = Tolerances(),
     1't = 1 has a unique solution, strictly positive and of value 0.  So the
     vertices are the faces of (c) that :func:`is_copositive` keeps from its
     sweep, ``verdict.zeros`` (it tests (b) at psd_tol, see its docstring),
-    each re-checked here against ``x``: |t'Xt| and -min(Xt) at most
-    zero_bound(tol) * max(1, 2^e), 2^e the sweep's scale of X (so absolute
-    below unit scale, like its diagonal rule).  They have distinct
-    supports and entries above zero_tol, so no two coincide.
+    each re-checked here against the sweep's unit-scale copy of X
+    (:func:`unit_scale`): |t'Xt| and -min(Xt) at most zero_bound(tol).
+    They have distinct supports and entries above zero_tol, so no two
+    coincide.
 
     (a) => (b): X tau >= 0 and tau'X tau = 0 give X_I tau_I = 0; a w != 0
     in ker X_I with 1'w = 0 would make tau the midpoint of zeros tau +- eps w.
@@ -116,23 +115,21 @@ def enumerate_zero_vertices(x: np.ndarray, tol: Tolerances = Tolerances(),
             f"matrix is not copositive (min {verdict.min_value:.3e}); "
             "zero structure undefined"
         )
-    bound = math.ldexp(zero_bound(tol), max(0, scale_exponent(x)))
-    candidates = [t for t in verdict.zeros if _is_zero_with_kkt(x, t, bound)]
+    x, _ = unit_scale(x)
+    candidates = [t for t in verdict.zeros if _is_zero_with_kkt(x, t, zero_bound(tol))]
     candidates.sort(key=lambda v: tuple(np.round(v, 12)))
     return candidates
 
 
 def compute_contact_set(x: np.ndarray, tau: np.ndarray, tol: Tolerances = Tolerances()) -> tuple[int, ...]:
     """M(j) = {k : e_k' X tau = 0} for a zero tau of X: the k with
-    |(X tau)_k| <= zero_tol * max(1, 2^e), 2^e the scale of X, the rule
-    of :func:`enumerate_zero_vertices`, so scaling X up keeps M(j)."""
-    x = symmetrize(x)
+    |(X tau)_k| <= zero_tol, read, like |tau'X tau| <= slack, on the copy
+    X / 2^e of :func:`unit_scale`, so cX has the contact sets of X."""
+    x, _ = unit_scale(symmetrize(x))
     tau = np.asarray(tau, dtype=float)
     if abs(float(tau @ x @ tau)) > tol.slack:
         raise ZeroStructureError("tau is not a zero of X within tolerance")
-    g = x @ tau
-    bound = math.ldexp(tol.zero_tol, max(0, scale_exponent(x)))
-    contact = tuple(int(k) for k in np.nonzero(np.abs(g) <= bound)[0])
+    contact = tuple(int(k) for k in np.nonzero(np.abs(x @ tau) <= tol.zero_tol)[0])
     supp = support_of(tau, tol)
     if not set(supp) <= set(contact):
         raise ZeroStructureError("contact set does not contain supp(tau)")

@@ -13,6 +13,7 @@ from copcomp.cones import (
     doubly_nonnegative,
     is_copositive,
     simplex_min_oracle,
+    unit_scale,
 )
 from copcomp.paperlab import build_extremal5
 from copcomp.symcore import Tolerances, save_symmat, symmetrize
@@ -221,7 +222,18 @@ def test_minimum_on_face_whose_larger_faces_are_infeasible():
     assert np.max(np.abs(v.argmin - [0.0, 5.0 / 9.0, 0.0, 4.0 / 9.0])) <= 1e-12
 
 
-SCALES = (2.0 ** -20, 1e4, 1e8)
+SCALES = (2.0 ** -100, 2.0 ** -20, 1e4, 1e8, 2.0 ** 40, 1e10, 1e12)
+
+
+def test_unit_scale_divides_by_the_nearest_power_of_two():
+    # max|X| in [2^-1/2, 2^1/2) leaves X as it is; 2^e is the nearest power
+    # of two on the log scale, and the zero matrix keeps e = 0
+    for amax, e in ((1.0, 0), (1.4, 0), (0.71, 0), (1.5, 1), (0.7, -1),
+                    (3e-31, -101), (1e12, 40), (0.0, 0)):
+        x = np.array([[amax, -0.5 * amax], [-0.5 * amax, 0.25 * amax]])
+        xs, got = unit_scale(x)
+        assert got == e, amax
+        assert np.array_equal(xs, x / 2.0 ** e)
 
 
 def _generic_matrices(n, seed):

@@ -77,6 +77,23 @@ def test_check_symmetric_gate_is_relative_to_the_entries():
         check_symmetric(x)
 
 
+@pytest.mark.parametrize("k", [-80, 0, 66])
+def test_check_symmetric_gate_does_not_depend_on_scale(k):
+    # the gate is tol * max|a| at every scale: 2^k a loads exactly when a
+    # does, and the zero matrix loads
+    cases = [([[0.0, 1e-20], [2e-20, 0.0]], False),
+             ([[1.0, 2.0], [2.0 + 1e-6, 1.0]], False),
+             ([[1.0, 2.0], [2.0 + 1e-13, 1.0]], True),
+             (np.zeros((2, 2)), True)]
+    for a, loads in cases:
+        a = np.ldexp(np.asarray(a), k)
+        if loads:
+            assert np.array_equal(check_symmetric(a), symmetrize(a))
+        else:
+            with pytest.raises(SymMatError, match="asymmetry"):
+                check_symmetric(a)
+
+
 def test_svec_pairs_order():
     assert svec_pairs(3) == [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]
     assert svec_dim(5) == 15

@@ -117,11 +117,14 @@ def test_extremal5_vertices_and_blocks():
     assert len(zs.basis[0]) == 3  # numerical rank of the five vertices
 
 
-@pytest.mark.parametrize("c", [2.0 ** -20, 1e4, 1e8])
+SCALES = [2.0 ** -100, 2.0 ** -20, 1e-8, 1e4, 1e8, 2.0 ** 40, 1e10, 1e12]
+
+
+@pytest.mark.parametrize("c", SCALES)
 def test_scaled_hildebrand_keeps_its_five_zero_vertices(c):
-    # the re-check of the sweep's zeros scales with max|X| above unit
-    # scale: at c = 1e8 roundoff puts min(c X tau) near -3e-8, past the
-    # unscaled bound -zero_bound(tol) = -1e-8
+    # the sweep and the re-check of its zeros read X / 2^e: at c = 1e8
+    # roundoff puts min(c X tau) near -3e-8, past the bound -zero_bound(tol)
+    # = -1e-8 on c X itself, and at c = 1e12 |t'(c X)t| reaches 5e-5
     x = build_extremal5()["x"]
     ref = enumerate_zero_vertices(x, TOL)
     got = enumerate_zero_vertices(c * x, TOL)
@@ -130,14 +133,26 @@ def test_scaled_hildebrand_keeps_its_five_zero_vertices(c):
         assert np.max(np.abs(t - r)) <= 1e-12
 
 
-@pytest.mark.parametrize("c", [2.0 ** -20, 1e4, 1e8])
+@pytest.mark.parametrize("c", SCALES)
 def test_scaled_hildebrand_keeps_its_contact_sets_and_blocks(c):
-    # the contact rule |(X tau)_k| <= zero_tol scales with max|X| as the
-    # vertex re-check does: at c = 1e8, (c X tau)_k on supp(tau) is
-    # -1.3e-8 to -3.4e-8 from roundoff alone
+    # the contact rule |(X tau)_k| <= zero_tol reads X / 2^e as the vertex
+    # re-check does: at c = 1e8, (c X tau)_k on supp(tau) is -1.3e-8 to
+    # -3.4e-8 from roundoff alone, and at c = 1e10 tau'(c X)tau is 3.3e-7
     x = build_extremal5()["x"]
     ref = compute_zero_structure(x, TOL)
     got = compute_zero_structure(c * x, TOL)
+    assert got.contact_sets == ref.contact_sets
+    assert got.blocks == ref.blocks and got.supports == ref.supports
+
+
+@pytest.mark.parametrize("c", SCALES)
+def test_scaled_s4_keeps_its_zero_structure(c):
+    x = build_s4()["x"]
+    ref = compute_zero_structure(x, TOL)
+    got = compute_zero_structure(c * x, TOL)
+    assert len(got.vertices) == len(ref.vertices) == 2
+    for t, r in zip(got.vertices, ref.vertices):
+        assert np.max(np.abs(t - r)) <= 1e-12
     assert got.contact_sets == ref.contact_sets
     assert got.blocks == ref.blocks and got.supports == ref.supports
 
@@ -381,8 +396,11 @@ def _copositive_corpus():
 def _kernel_scan_vertices(x, tol):
     """Reference zero vertices by a second sweep: the supports I whose
     X_I has a one-dimensional kernel (one stacked ``eigh`` per size) with a
-    strictly positive generator that is a zero of X satisfying KKT."""
+    strictly positive generator that is a zero of X satisfying KKT, all
+    read on X over the power of two nearest max|X|."""
     p = x.shape[0]
+    amax = np.max(np.abs(x))
+    x = x / 2.0 ** round(np.log2(amax)) if amax > 0.0 else x
     bound = zero_bound(tol)
     out = []
     for size in range(1, p + 1):
@@ -421,3 +439,38 @@ def test_zero_vertices_are_hull_vertices():
                 lps += 1
                 assert not _hull_lp_feasible(t, others)
     assert lps >= 400
+
+
+def test_numerically_zero_block_has_one_zero_vertex():
+    # a corpus matrix: max|X| = 2e-31, and x_11, x_22 > 0 rule out e1 and
+    # e2 at any scale, so only e3 is a zero vertex
+    x = 1.9721522630525295e-31 * np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0],
+                                           [0.0, 0.0, 0.0]])
+    vertices = enumerate_zero_vertices(x, TOL)
+    assert len(vertices) == 1 and np.array_equal(vertices[0], [0.0, 0.0, 1.0])
+
+
+def test_power_of_two_scaling_is_exact():
+    # X and 2^k X share one unit-scale copy, so every zero-structure
+    # output is bit-identical and min_value moves by exactly 2^k
+    pd = np.array([[1.0, 0.5], [0.5, 1.0]])
+    matrices = [build_extremal5()["x"], build_s4()["x"], pd] + _copositive_corpus()
+    for x in matrices:
+        v0 = is_copositive(x, TOL)
+        zs0 = compute_zero_structure(x, TOL, v0)
+        for k in (-100, -20, 20, 40, 100):
+            xk = np.ldexp(x, k)
+            v = is_copositive(xk, TOL)
+            assert v.member == v0.member
+            assert v.min_value == np.ldexp(v0.min_value, k)
+            assert np.array_equal(v.argmin, v0.argmin)
+            assert len(v.zeros) == len(v0.zeros)
+            assert all(np.array_equal(a, b) for a, b in zip(v.zeros, v0.zeros))
+            zs = compute_zero_structure(xk, TOL, v)
+            assert len(zs.vertices) == len(zs0.vertices)
+            assert all(np.array_equal(a, b) for a, b in zip(zs.vertices, zs0.vertices))
+            assert zs.contact_sets == zs0.contact_sets and zs.blocks == zs0.blocks
+            assert zs.supports == zs0.supports and zs.basis == zs0.basis
+    # positive definite at every scale: no zeros, not even at 2^-100
+    assert is_copositive(np.ldexp(pd, -100), TOL).zeros == []
+    assert enumerate_zero_vertices(np.ldexp(pd, -100), TOL) == []
