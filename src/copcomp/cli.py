@@ -3,8 +3,9 @@
 ``copcomp analyze X.json [U.json]`` runs the full pipeline on a pair of
 symmetric-matrix files; ``copcomp scenario run NAME`` replays a bundled
 scenario; ``copcomp scenario list`` enumerates them.  Exit codes: 0 on
-success, 1 on a structural failure (non-copositive X, decomposition
-failure, failed scenario expectation), 2 on bad input.
+success, 1 on a structural failure (the analyze verdicts X_NOT_COPOSITIVE,
+ZERO_STRUCTURE_FAILURE, DECOMPOSITION_FAILURE, ASSUMPTIONS_FAILURE and
+RANK_DEFICIENT, or a failed scenario expectation), 2 on bad input.
 """
 
 from __future__ import annotations
@@ -19,14 +20,16 @@ import sys
 import numpy as np
 
 from . import __version__
-from .cones import is_copositive, simplex_min_oracle
-from .complement import ComplementError, check_assumptions, decompose_dual
+from .cones import is_copositive
+from .complement import check_assumptions, decompose_dual
 from .defeq import build_system, rank_certificate
 from .paperlab import run_scenario, scenario_names, SCENARIOS
-from .symcore import Tolerances, load_symmat, symmat_to_json
-from .zerostruct import ZeroStructureError, compute_zero_structure
+from .symcore import SymMatError, Tolerances, load_symmat, symmat_to_json
+from .zerostruct import compute_zero_structure
 
 SCHEMA = "copcomp/1"
+# analyze verdicts that exit 0; every other verdict exits 1
+EXIT_0_VERDICTS = ("OK", "ZERO_STRUCTURE_ONLY", "EMPTY_ZERO_SET_U_MUST_BE_ZERO")
 
 
 def _digest(*mats) -> str:
@@ -43,6 +46,8 @@ def cmd_analyze(args, tol: Tolerances) -> int:
     try:
         x = load_symmat(args.x)
         u = load_symmat(args.u) if args.u else None
+        if u is not None and len(u) != len(x):
+            raise SymMatError(f"U has order {len(u)}, X has order {len(x)}")
         verdict = is_copositive(x, tol)
     except (OSError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
@@ -57,47 +62,45 @@ def cmd_analyze(args, tol: Tolerances) -> int:
                    "u": None if u is None else symmat_to_json(u)},
         "copositive": verdict.to_json(),
     }
-    if args.verify_oracle:
-        bound, arg = simplex_min_oracle(x, args.grid_depth)
-        report["oracle"] = {"grid_depth": args.grid_depth,
-                           "upper_bound": bound, "argmin": arg.tolist()}
-    if not verdict.member:
+    if verdict.member:
+        report.update(_stages(x, u, verdict, tol))
+    else:
         report["verdict"] = "X_NOT_COPOSITIVE"
-        _emit(report, args)
-        return 1
+    _emit(report, args)
+    return 0 if report["verdict"] in EXIT_0_VERDICTS else 1
 
+
+def _stages(x, u, verdict, tol: Tolerances) -> dict:
+    """Report sections of the stages after the copositivity sweep.
+
+    A ValueError or RuntimeError from a stage (ZeroStructureError,
+    ComplementError, the NNLS and simplex guards) ends the run with the
+    failure verdict of that stage and its message in ``error``.
+    """
+    out = {}
+    stage = "ZERO_STRUCTURE_FAILURE"
     try:
         zs = compute_zero_structure(x, tol, verdict)
-    except ZeroStructureError as exc:
-        report["verdict"] = "ZERO_STRUCTURE_FAILURE"
-        report["error"] = str(exc)
-        _emit(report, args)
-        return 1
-    report["zero_structure"] = zs.to_json()
-
-    if u is None:
-        report["verdict"] = ("EMPTY_ZERO_SET_U_MUST_BE_ZERO"
-                            if not zs.vertices else "ZERO_STRUCTURE_ONLY")
-        _emit(report, args)
-        return 0
-
-    try:
+        out["zero_structure"] = zs.to_json()
+        if u is None:
+            out["verdict"] = ("EMPTY_ZERO_SET_U_MUST_BE_ZERO"
+                              if not zs.vertices else "ZERO_STRUCTURE_ONLY")
+            return out
+        stage = "DECOMPOSITION_FAILURE"
         dd = decompose_dual(u, zs, tol)
-    except ComplementError as exc:
-        report["verdict"] = "DECOMPOSITION_FAILURE"
-        report["error"] = str(exc)
-        _emit(report, args)
-        return 1
-    report["decomposition"] = dd.to_json()
-    report["assumptions"] = check_assumptions(zs, dd, tol).to_json()
-
-    system = build_system(zs, dd)
-    cert = rank_certificate(system, system.anchor, tol)
-    report["system"] = system.to_json()
-    report["rank_certificate"] = cert.to_json()
-    report["verdict"] = "OK" if cert.full_rank else "RANK_DEFICIENT"
-    _emit(report, args)
-    return 0 if cert.full_rank else 1
+        out["decomposition"] = dd.to_json()
+        stage = "ASSUMPTIONS_FAILURE"
+        out["assumptions"] = check_assumptions(zs, dd, tol).to_json()
+        system = build_system(zs, dd)
+        cert = rank_certificate(system, system.anchor, tol)
+    except (ValueError, RuntimeError) as exc:
+        out["verdict"] = stage
+        out["error"] = str(exc)
+        return out
+    out["system"] = system.to_json()
+    out["rank_certificate"] = cert.to_json()
+    out["verdict"] = "OK" if cert.full_rank else "RANK_DEFICIENT"
+    return out
 
 
 def _emit(report: dict, args) -> None:
@@ -112,9 +115,6 @@ def _emit(report: dict, args) -> None:
           f"psd={t['psd_tol']:g}")
     cop = report["copositive"]
     print(f"copositive: {cop['member']} (simplex min {cop['min_value']:.3e})")
-    if "oracle" in report:
-        o = report["oracle"]
-        print(f"oracle bound (depth {o['grid_depth']}): {o['upper_bound']:.3e}")
     if not cop["member"]:
         print(f"witness: {cop['witness']}")
     if "zero_structure" in report:
@@ -185,10 +185,6 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("x", help="path to the SymMat JSON for X")
     analyze.add_argument("u", nargs="?", default=None,
                          help="path to the SymMat JSON for U (optional)")
-    analyze.add_argument("--grid-depth", type=int, default=12,
-                         help="barycentric grid depth for the oracle")
-    analyze.add_argument("--verify-oracle", action="store_true",
-                         help="cross-check copositivity with the grid oracle")
     add_common(analyze)
     analyze.set_defaults(func=cmd_analyze)
 
@@ -206,8 +202,6 @@ def main(argv=None) -> int:
     try:
         if args.command == "scenario" and args.action == "run" and not args.name:
             raise ValueError("scenario run requires a name")
-        if args.command == "analyze" and args.grid_depth < 1:
-            raise ValueError(f"--grid-depth must be >= 1, got {args.grid_depth}")
         tol = Tolerances(**{f.name: getattr(args, f.name)
                             for f in dataclasses.fields(Tolerances)})
     except ValueError as exc:

@@ -322,7 +322,10 @@ def positive_factorization(w: np.ndarray, taus, weights: dict,
     weights and columns with a small product residual is accepted.
     """
     w = symmetrize(w)
-    if psd_status(w, tol)[0] == NOT_PSD:
+    # relative to max|W|, as in check_symmetric: a W summed from nonnegative
+    # weights is PSD up to rounding that grows with its scale
+    bound = tol.psd_tol * max(1.0, np.max(np.abs(w), initial=0.0))
+    if psd_status(w, tol)[1] < -bound:
         raise ValueError("W must be PSD for positive factorization")
     taus = np.asarray(taus, dtype=float)
     # drop numerically-inactive generators; the product check below bounds

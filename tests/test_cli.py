@@ -12,7 +12,7 @@ import copcomp.cones as cones
 import copcomp.zerostruct as zerostruct
 from copcomp.cli import SCHEMA, main
 from copcomp.cones import EXACT_COPOSITIVITY_LIMIT
-from copcomp.paperlab import build_extremal5, build_s4
+from copcomp.paperlab import build_extremal5, build_pp4z_j, build_s4
 from copcomp.symcore import symmat_to_json
 
 
@@ -101,21 +101,91 @@ def test_analyze_bad_tolerance_exit_2(s4_files, capsys):
     assert rc == 2
 
 
+def _forbid_work(monkeypatch, *names):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started on bad input")
+
+    for name in names:
+        monkeypatch.setattr(cli, name, no_work)
+
+
 @pytest.mark.parametrize("argv", [
     ["scenario", "run", "s4", "--zero-tol", "2"],
     ["scenario", "run", "s4", "--psd-tol", "nan"],
-    ["analyze", "X", "--verify-oracle", "--grid-depth", "0"],
-], ids=["zero-tol", "psd-tol", "grid-depth"])
+], ids=["zero-tol", "psd-tol"])
 def test_bad_flag_exit_2_before_any_work(s4_files, capsys, monkeypatch, argv):
-    def no_work(*args, **kwargs):
-        raise AssertionError("work started on a bad flag")
-
-    for name in ("run_scenario", "load_symmat", "is_copositive"):
-        monkeypatch.setattr(cli, name, no_work)
+    _forbid_work(monkeypatch, "run_scenario", "load_symmat", "is_copositive")
     rc = main([s4_files[0] if a == "X" else a for a in argv])
     out, err = capsys.readouterr()
     assert rc == 2 and out == ""
     assert err.startswith("input error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("order", [4, 2])
+def test_u_order_mismatch_exit_2_before_any_work(tmp_path, s4_files, capsys,
+                                                 monkeypatch, order):
+    # decompose_dual's tensordot used to raise "shape-mismatch for sum"
+    _forbid_work(monkeypatch, "is_copositive", "compute_zero_structure",
+                 "decompose_dual")
+    u = _write(tmp_path, "u.json", np.eye(order))
+    rc = main(["analyze", s4_files[0], u])
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == ""
+    assert err == f"input error: U has order {order}, X has order 3\n"
+
+
+@pytest.mark.parametrize("flags", [["--verify-oracle"], ["--grid-depth", "48"]],
+                         ids=["verify-oracle", "grid-depth"])
+def test_grid_oracle_flags_are_gone(tmp_path, capsys, monkeypatch, flags):
+    # at p = 12, depth 48 is 2.8e11 grid points; the exact sweep's
+    # min_value already decides copositivity
+    _forbid_work(monkeypatch, "load_symmat", "is_copositive")
+    x, _ = _padded_hildebrand(12)
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", _write(tmp_path, "x.json", x), *flags])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("build, c", [(build_pp4z_j, 1e7),
+                                      (build_s4, 12589254.11794166)],
+                         ids=["pp4z-j", "s4"])
+def test_analyze_scaled_u_ends_with_a_verdict(tmp_path, capsys, build, c):
+    # W(s) at this scale is PSD only up to rounding above the absolute
+    # psd_tol, which made positive_factorization raise
+    data = build()
+    rc = main(["analyze", _write(tmp_path, "x.json", data["x"]),
+               _write(tmp_path, "u.json", c * data["u"]), "--json"])
+    out, err = capsys.readouterr()
+    report = json.loads(out)
+    assert err == "" and "error" not in report
+    assert report["verdict"] in ("OK", "RANK_DEFICIENT")
+    assert rc == (0 if report["verdict"] == "OK" else 1)
+
+
+def test_analyze_nnls_failure_is_decomposition_failure(s4_files, capsys,
+                                                       monkeypatch):
+    def failing(a, b, **kwargs):
+        raise RuntimeError("NNLS iteration limit reached")
+
+    monkeypatch.setattr(complement, "nnls", failing)
+    rc = main(["analyze", *s4_files, "--json"])
+    report = json.loads(capsys.readouterr().out)
+    assert rc == 1 and report["verdict"] == "DECOMPOSITION_FAILURE"
+    assert report["error"] == "NNLS iteration limit reached"
+    assert "zero_structure" in report and "decomposition" not in report
+
+
+def test_analyze_assumptions_failure(s4_files, capsys, monkeypatch):
+    def failing(*args, **kwargs):
+        raise RuntimeError("simplex pivot limit reached")
+
+    monkeypatch.setattr(cli, "check_assumptions", failing)
+    rc = main(["analyze", *s4_files])
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert out.endswith("error: simplex pivot limit reached\n"
+                        "verdict: ASSUMPTIONS_FAILURE\n")
 
 
 def test_one_parser_gives_each_call_its_own_flags(s4_files, capsys):
@@ -135,12 +205,6 @@ def test_one_parser_gives_each_call_its_own_flags(s4_files, capsys):
         main(["analyze", x, "--no-such-flag"])
     assert exc.value.code == 2
     assert main(["analyze", x, "--zero-tol", "0"]) == 2
-
-
-def test_analyze_oracle_flag(s4_files, capsys):
-    rc = main(["analyze", s4_files[0], "--verify-oracle", "--grid-depth", "8"])
-    assert rc == 0
-    assert "oracle bound (depth 8)" in capsys.readouterr().out
 
 
 def test_analyze_deterministic_reports(s4_files, capsys):
