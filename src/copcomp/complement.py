@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .cones import unit_scale
 from .symcore import (
     PSD_INTERIOR,
     NOT_PSD,
@@ -168,9 +169,11 @@ def face_nnls(vectors, groups, target):
     stays out of the NNLS, whose kept columns keep their order.  A vector
     whose own outer product meets such a zero leaves its group before the
     subsets are built.  No tolerance is involved, so the rule commutes
-    with index permutation and with positive or scalar scaling.  Returns
-    per group the sum w g g' and the positive weights {combo: w}, and the
-    residual ||fit - target||_F, the norm of the svec fit (an isometry).
+    with index permutation and with positive or scalar scaling.  The fit
+    reads target / 2^e (:func:`unit_scale`), so no norm in it overflows,
+    and maps its weights and residual back exactly.  Returns per group the
+    sum w g g' and the positive weights {combo: w}, and the residual
+    ||fit - target||_F, the norm of the svec fit (an isometry).
     """
     target = np.asarray(target, dtype=float)
     vectors = np.asarray(vectors, dtype=float).reshape(-1, len(target))
@@ -178,11 +181,14 @@ def face_nnls(vectors, groups, target):
     groups = [[j for j in sorted(g) if not zero[np.ix_(pos[j], pos[j])].any()]
               for g in groups]
     labels, gens, cols = _subset_columns(vectors, groups)
-    b = svec(target)
+    scaled, e = unit_scale(target)
+    b = svec(scaled)
     keep = ~np.any(cols[b == 0.0] > 0.0, axis=0)
     weights = np.zeros(len(labels))
     if keep.any():
         weights[keep], _ = nnls(np.ascontiguousarray(cols[:, keep]), b)
+    residual = float(np.ldexp(np.linalg.norm(cols @ weights - b), e))
+    weights = np.ldexp(weights, e)
     components = [np.zeros(target.shape) for _ in groups]
     coefficients = [dict() for _ in groups]
     for weight, (s, combo), g in zip(weights, labels, gens):
@@ -190,7 +196,7 @@ def face_nnls(vectors, groups, target):
             continue  # NNLS leaves most subset weights at exactly zero
         components[s] += weight * np.outer(g, g)
         coefficients[s][combo] = float(weight)
-    return components, coefficients, float(np.linalg.norm(cols @ weights - b))
+    return components, coefficients, residual
 
 
 def _basis_pair_rank(zs: ZeroStructure, tol: Tolerances) -> tuple[int, int]:

@@ -105,14 +105,15 @@ def is_copositive(x: np.ndarray, tol: Tolerances = Tolerances()) -> CopVerdict:
     minimum is lost.
 
     A solved face's t goes to ``zeros`` when it is strictly positive (above
-    zero_tol), |t'Xt| <= zero_bound(tol), and X_I has exactly one eigenvalue
-    within delta = psd_tol * max(1, sigma_max) of 0, the rule of
-    ``null_eigenvalues``, with sigma_max, sigma_min the extreme singular
-    values of the symmetric [[X_I, 1/2], [1/2', 0]].  The Rayleigh quotient
-    t'X_I t / t't <= delta shows one; sigma_min > delta shows there is no
-    second, as the eigenvalues of X_I interlace those of that matrix, whose
-    moduli are its singular values.  With a second, t would be an inner
-    point of an edge of the zero set.  |x_kk| <= psd_tol gives e_k.
+    zero_tol), |t'Xt| and -min(Xt) are at most zero_bound(tol), and X_I has
+    exactly one eigenvalue within delta = psd_tol * max(1, sigma_max) of 0,
+    the rule of ``null_eigenvalues``, sigma_max, sigma_min the extreme
+    singular values of the symmetric [[X_I, 1/2], [1/2', 0]].  The Rayleigh
+    quotient t'X_I t / t't <= delta shows one; sigma_min > delta shows there
+    is no second, as the eigenvalues of X_I interlace those of that matrix,
+    whose moduli are its singular values.  With a second, t would be an
+    inner point of an edge of the zero set.  e_k goes to ``zeros`` by the
+    same zero and sign rules, with |x_kk| <= psd_tol.
 
     ``argmin`` is the first minimizer in support order (by size, then
     lexicographic).  When minimizers tie, rounding can decide which one
@@ -138,7 +139,8 @@ def is_copositive(x: np.ndarray, tol: Tolerances = Tolerances()) -> CopVerdict:
                           argmin=best_t, witness=best_t, supports_checked=0)
 
     bound = zero_bound(tol)
-    zeros = list(np.eye(p)[np.abs(diag) <= tol.psd_tol])
+    kkt = np.min(x, axis=0) >= -bound
+    zeros = list(np.eye(p)[(np.abs(diag) <= min(tol.psd_tol, bound)) & kkt])
     for size in range(2, p + 1):
         all_supports, all_xi = principal_blocks(x, size)
         # FACE_CHUNK faces at a time cap the SVD's memory (924 faces of size 6 at p = 12)
@@ -163,7 +165,8 @@ def is_copositive(x: np.ndarray, tol: Tolerances = Tolerances()) -> CopVerdict:
             s = 0.5 * sig[full][ok]  # those of [[X_I, 1/2], [1/2', 0]]
             delta = tol.psd_tol * np.maximum(1.0, s[:, 0])
             ray = vals / np.einsum("mi,mi->m", ti, ti)
-            vertex = (np.min(ti, axis=1) > tol.zero_tol) & (np.abs(vals) <= bound)
+            vertex = ((np.min(ti, axis=1) > tol.zero_tol) & (np.abs(vals) <= bound)
+                      & (np.min(rows @ x, axis=1) >= -bound))
             zeros.extend(rows[vertex & (np.abs(ray) <= delta) & (s[:, -1] > delta)])
             m = int(np.argmin(vals))
             if vals[m] < best_val:

@@ -1,10 +1,10 @@
 """The system of defining equations for the complementarity set.
 
-Variable layout z = (svec(X), svec(W(s)), s in S), the bi-linear residual
-of the per-block anticommutator equations, the linear reconstruction of U
-from the W(s), the Jacobian in closed form with full-row-rank
-certification, a local W-solver for perturbed X, and the forward/backward
-path verifiers plus executable appendix checks.
+Variable layout z = (svec(X), svec(W(s)), s in S), computed once per
+system, the bi-linear residual of the per-block anticommutator equations,
+the linear reconstruction of U from the W(s), the Jacobian in closed form
+with full-row-rank certification, a local W-solver for perturbed X, and
+the forward/backward path verifiers plus executable appendix checks.
 """
 
 from __future__ import annotations
@@ -34,45 +34,52 @@ from .zerostruct import ZeroStructure, pair_index_set, pair_sums
 
 @dataclass
 class DefiningSystem:
+    """Layout of z, computed once: ``p_star`` = len svec(X), ``block_dims``
+    the len svec(W(s)), ``m`` their sum and ``size`` = len z.  Per block,
+    ``x_index`` holds where svec(X(s)) sits in svec(X), X(s) the principal
+    submatrix on P_*(s), and ``w_slice`` where svec(W(s)) sits in z; less
+    p_star, it gives the block's rows of the residual and the Jacobian."""
+
     p: int
     supports: list  # P_*(s) as sorted tuples, ascending s
-    anchor: np.ndarray  # z0
+    anchor: np.ndarray | None = None  # z0, set by build_system
+    p_star: int = field(init=False)
+    block_dims: list = field(init=False)
+    m: int = field(init=False)
+    size: int = field(init=False)
+    x_index: list = field(init=False)
+    w_slice: list = field(init=False)
 
-    @property
-    def p_star(self) -> int:
-        return svec_dim(self.p)
-
-    @property
-    def block_dims(self) -> list[int]:
-        return [svec_dim(len(ps)) for ps in self.supports]
-
-    @property
-    def m(self) -> int:
-        return sum(self.block_dims)
-
-    @property
-    def size(self) -> int:
-        return self.p_star + self.m
+    def __post_init__(self):
+        self.p_star = svec_dim(self.p)
+        self.block_dims = [svec_dim(len(ps)) for ps in self.supports]
+        self.m = sum(self.block_dims)
+        self.size = self.p_star + self.m
+        self.x_index = [svec_subindex(self.p, ps) for ps in self.supports]
+        ends = np.cumsum([self.p_star] + self.block_dims).tolist()
+        self.w_slice = [slice(a, b) for a, b in zip(ends, ends[1:])]
 
     def offsets(self) -> list[int]:
         """Start offset of svec(W(s)) inside z for each block."""
-        out = []
-        pos = self.p_star
-        for d in self.block_dims:
-            out.append(pos)
-            pos += d
-        return out
+        return [sl.start for sl in self.w_slice]
 
-    def split(self, z: np.ndarray):
-        """(X, [W(s)]) from a layout vector."""
+    def _checked(self, z) -> np.ndarray:
         z = np.asarray(z, dtype=float)
         if z.shape != (self.size,):
             raise ValueError(f"z length {z.shape} does not match layout {self.size}")
-        x = smat(z[: self.p_star], self.p)
-        ws = []
-        for off, ps, d in zip(self.offsets(), self.supports, self.block_dims):
-            ws.append(smat(z[off: off + d], len(ps)))
-        return x, ws
+        return z
+
+    def split(self, z: np.ndarray):
+        """(X, [W(s)]) from a layout vector."""
+        z = self._checked(z)
+        ws = [smat(z[sl], len(ps)) for sl, ps in zip(self.w_slice, self.supports)]
+        return smat(z[: self.p_star], self.p), ws
+
+    def blocks(self, z: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+        """(X(s), W(s)) per block, each read by smat straight from z."""
+        z = self._checked(z)
+        return [(smat(z[xi], len(ps)), smat(z[sl], len(ps)))
+                for xi, sl, ps in zip(self.x_index, self.w_slice, self.supports)]
 
     def pack(self, x: np.ndarray, ws: list) -> np.ndarray:
         parts = [svec(symmetrize(x))]
@@ -81,7 +88,7 @@ class DefiningSystem:
             if w.shape[0] != len(ps):
                 raise ValueError("W block order does not match its support")
             parts.append(svec(w))
-        return np.concatenate(parts) if parts else np.zeros(0)
+        return np.concatenate(parts)
 
     def to_json(self) -> dict:
         return {
@@ -119,18 +126,14 @@ class RankCertificate:
 
 def build_system(zs: ZeroStructure, dd: DualDecomposition) -> DefiningSystem:
     """Layout and anchor z0 from a zero structure and dual decomposition."""
-    sys = DefiningSystem(p=zs.p, supports=list(zs.supports), anchor=np.zeros(0))
+    sys = DefiningSystem(p=zs.p, supports=list(zs.supports))
     sys.anchor = sys.pack(zs.x, dd.restricted)
     return sys
 
 
 def residual(sys: DefiningSystem, z: np.ndarray) -> np.ndarray:
     """Stacked svec of the per-block anticommutators A(X,s)W(s) + W(s)A(X,s)."""
-    x, ws = sys.split(z)
-    parts = []
-    for w, ps in zip(ws, sys.supports):
-        xs = restrict(x, ps)
-        parts.append(svec(xs @ w + w @ xs))
+    parts = [svec(xs @ w + w @ xs) for xs, w in sys.blocks(z)]
     return np.concatenate(parts) if parts else np.zeros(0)
 
 
@@ -145,20 +148,17 @@ def reconstruct_U(sys: DefiningSystem, ws: list) -> np.ndarray:
 def jacobian(sys: DefiningSystem, z: np.ndarray) -> np.ndarray:
     """Closed-form Jacobian of the residual at z.
 
-    Block row s: 2 * (W(s) (x)_s E) columns scattered to the V(P_*(s))
-    positions of svec(X), and 2 * (X(s) (x)_s E) on the block's own
-    svec(W(s)) columns.  The factor 2 makes the matrix agree with finite
+    Block row s: 2 * (W(s) (x)_s E) on the svec(X) columns ``x_index[s]``,
+    and 2 * (X(s) (x)_s E) on the block's own svec(W(s)) columns
+    ``w_slice[s]``.  The factor 2 makes the matrix agree with finite
     differences of the residual.
     """
-    x, ws = sys.split(z)
     jac = np.zeros((sys.m, sys.size))
-    row = 0
-    for w, ps, off, d in zip(ws, sys.supports, sys.offsets(), sys.block_dims):
-        xs = restrict(x, ps)
-        cols = svec_subindex(sys.p, ps)
-        jac[row: row + d, cols] = 2.0 * sym_kron(w, np.eye(len(ps)))
-        jac[row: row + d, off: off + d] = 2.0 * sym_kron(xs, np.eye(len(ps)))
-        row += d
+    for (xs, w), xi, sl in zip(sys.blocks(z), sys.x_index, sys.w_slice):
+        rows = slice(sl.start - sys.p_star, sl.stop - sys.p_star)
+        eye = np.eye(len(xs))
+        jac[rows, xi] = 2.0 * sym_kron(w, eye)
+        jac[rows, sl] = 2.0 * sym_kron(xs, eye)
     return jac
 
 

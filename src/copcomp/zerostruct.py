@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cones import CopVerdict, is_copositive, unit_scale, zero_bound
+from .cones import CopVerdict, is_copositive, unit_scale
 from .symcore import Tolerances, rank_of_vectors, symmetrize
 
 
@@ -73,12 +73,6 @@ def support_of(t: np.ndarray, tol: Tolerances) -> tuple[int, ...]:
     return tuple(int(k) for k in np.nonzero(np.abs(t) > tol.zero_tol)[0])
 
 
-def _is_zero_with_kkt(x: np.ndarray, t: np.ndarray, bound: float) -> bool:
-    if abs(float(t @ x @ t)) > bound:
-        return False
-    return bool(np.min(x @ t) >= -bound)
-
-
 def enumerate_zero_vertices(x: np.ndarray, tol: Tolerances = Tolerances(),
                             verdict: CopVerdict | None = None) -> list[np.ndarray]:
     """Vertices of conv T_a(X) for a copositive X.
@@ -87,11 +81,9 @@ def enumerate_zero_vertices(x: np.ndarray, tol: Tolerances = Tolerances(),
     vertex; (b) ker X_I = span(v), v > 0; (c) the KKT system 2 X_I t = lam 1,
     1't = 1 has a unique solution, strictly positive and of value 0.  So the
     vertices are the faces of (c) that :func:`is_copositive` keeps from its
-    sweep, ``verdict.zeros`` (it tests (b) at psd_tol, see its docstring),
-    each re-checked here against the sweep's unit-scale copy of X
-    (:func:`unit_scale`): |t'Xt| and -min(Xt) at most zero_bound(tol).
-    They have distinct supports and entries above zero_tol, so no two
-    coincide.
+    sweep, ``verdict.zeros`` (it tests (b) at psd_tol and the zero and sign
+    rules at zero_bound(tol), see its docstring).  They have distinct
+    supports and entries above zero_tol, so no two coincide.
 
     (a) => (b): X tau >= 0 and tau'X tau = 0 give X_I tau_I = 0; a w != 0
     in ker X_I with 1'w = 0 would make tau the midpoint of zeros tau +- eps w.
@@ -115,10 +107,7 @@ def enumerate_zero_vertices(x: np.ndarray, tol: Tolerances = Tolerances(),
             f"matrix is not copositive (min {verdict.min_value:.3e}); "
             "zero structure undefined"
         )
-    x, _ = unit_scale(x)
-    candidates = [t for t in verdict.zeros if _is_zero_with_kkt(x, t, zero_bound(tol))]
-    candidates.sort(key=lambda v: tuple(np.round(v, 12)))
-    return candidates
+    return sorted(verdict.zeros, key=lambda v: tuple(np.round(v, 12)))
 
 
 def compute_contact_set(x: np.ndarray, tau: np.ndarray, tol: Tolerances = Tolerances()) -> tuple[int, ...]:

@@ -163,6 +163,18 @@ def test_analyze_scaled_u_ends_with_a_verdict(tmp_path, capsys, build, c):
     assert rc == (0 if report["verdict"] == "OK" else 1)
 
 
+def test_analyze_u_near_overflow_is_decomposition_failure(tmp_path, capsys):
+    # the fit reads U / 2^e, so no norm overflows; the residual 1.4e285 is
+    # rounding relative to 1e300 U, yet above the absolute slack
+    data = build_s4()
+    rc = main(["analyze", _write(tmp_path, "x.json", data["x"]),
+               _write(tmp_path, "u.json", 1e300 * data["u"]), "--json"])
+    report = json.loads(capsys.readouterr().out)
+    assert rc == 1 and report["verdict"] == "DECOMPOSITION_FAILURE"
+    residual = float(report["error"].split("residual ")[1].split(")")[0])
+    assert np.isfinite(residual)
+
+
 def test_analyze_nnls_failure_is_decomposition_failure(s4_files, capsys,
                                                        monkeypatch):
     def failing(a, b, **kwargs):

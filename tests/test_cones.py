@@ -17,6 +17,7 @@ from copcomp.cones import (
 )
 from copcomp.paperlab import build_extremal5
 from copcomp.symcore import Tolerances, save_symmat, symmetrize
+from copcomp.zerostruct import enumerate_zero_vertices
 
 TOL = Tolerances()
 RNG = np.random.default_rng(20240818)
@@ -234,6 +235,24 @@ def test_unit_scale_divides_by_the_nearest_power_of_two():
         xs, got = unit_scale(x)
         assert got == e, amax
         assert np.array_equal(xs, x / 2.0 ** e)
+
+
+@pytest.mark.parametrize("x, vertex", [
+    # x_11 = 1e-10 is within psd_tol, but (X e_1)_2 = -1e-6
+    ([[1e-10, -1e-6], [-1e-6, 1.0]], [1.0 - 1e-6, 1e-6]),
+    # t = (1/2, 1/2, 0) is a zero of the face {1, 2}, but (X t)_3 = -1e-6
+    ([[1.0, -1.0, -1e-6], [-1.0, 1.0, -1e-6], [-1e-6, -1e-6, 1.0]],
+     [0.5 - 5e-7, 0.5 - 5e-7, 1e-6]),
+], ids=["diagonal", "face"])
+def test_zeros_meet_the_kkt_sign_rule(x, vertex):
+    # a candidate with X t below -zero_bound on some entry is no zero, and
+    # the sweep's zeros are the zero vertices as they are
+    x = np.array(x)
+    zeros = is_copositive(x, TOL).zeros
+    vertices = enumerate_zero_vertices(x, TOL)
+    assert len(zeros) == len(vertices) == 1
+    assert np.array_equal(zeros[0], vertices[0])
+    assert np.allclose(zeros[0], vertex, rtol=0.0, atol=1e-9)
 
 
 def _generic_matrices(n, seed):

@@ -50,6 +50,10 @@ def test_worked_example_layout():
     assert sys.m == 6
     assert sys.size == 12
     assert sys.block_dims == [3, 3]
+    # supports {2, 3} and {1, 2}; svec(X) holds x11, x21, x31, x22, x32, x33
+    assert [xi.tolist() for xi in sys.x_index] == [[3, 4, 5], [0, 1, 3]]
+    assert sys.w_slice == [slice(6, 9), slice(9, 12)]
+    assert sys.offsets() == [6, 9]
 
 
 def test_extremal5_layout():
@@ -57,6 +61,9 @@ def test_extremal5_layout():
     assert sys.p_star == 15
     assert sys.m == 15
     assert sys.size == 30
+    assert [xi.tolist() for xi in sys.x_index] == [list(range(15))]
+    assert sys.w_slice == [slice(15, 30)]
+    assert sys.offsets() == [15]
 
 
 def test_empty_system():
@@ -64,6 +71,7 @@ def test_empty_system():
     dd = decompose_dual(np.zeros((3, 3)), zs, TOL)
     sys = build_system(zs, dd)
     assert sys.m == 0
+    assert sys.x_index == [] and sys.w_slice == [] and sys.offsets() == []
     assert residual(sys, sys.anchor).size == 0
     cert = rank_certificate(sys, sys.anchor, TOL)
     assert cert.full_rank and cert.m_expected == 0
@@ -164,8 +172,10 @@ def _jacobian_loop(sys, z):
     return jac
 
 
-def test_jacobian_matches_the_pair_dict_scatter_bit_for_bit():
-    rng = np.random.default_rng(20261018)
+def _bit_for_bit_points(seed):
+    """(system, z): the anchor and 5 random z of every scenario's system
+    and of H(theta*) + 0_3's."""
+    rng = np.random.default_rng(seed)
     data = build_extremal5()
     x8, u8 = np.zeros((8, 8)), np.zeros((8, 8))
     x8[:5, :5], u8[:5, :5] = data["x"], data["u"]
@@ -174,7 +184,21 @@ def test_jacobian_matches_the_pair_dict_scatter_bit_for_bit():
     anchors.append(build_system(zs8, decompose_dual(u8, zs8, TOL)))
     for sys in anchors:
         for z in [sys.anchor] + [rng.standard_normal(sys.size) for _ in range(5)]:
-            assert np.array_equal(jacobian(sys, z), _jacobian_loop(sys, z))
+            yield sys, z
+
+
+def test_jacobian_matches_the_pair_dict_scatter_bit_for_bit():
+    for sys, z in _bit_for_bit_points(20261018):
+        assert np.array_equal(jacobian(sys, z), _jacobian_loop(sys, z))
+
+
+def test_residual_matches_the_restricted_full_x_bit_for_bit():
+    # reference: the full X from split, each X(s) cut out of it by restrict
+    for sys, z in _bit_for_bit_points(20261019):
+        x, ws = sys.split(z)
+        ref = [svec(restrict(x, ps) @ w + w @ restrict(x, ps))
+               for w, ps in zip(ws, sys.supports)]
+        assert np.array_equal(residual(sys, z), np.concatenate(ref))
 
 
 def test_jacobian_zero_point_is_zero():

@@ -122,9 +122,9 @@ SCALES = [2.0 ** -100, 2.0 ** -20, 1e-8, 1e4, 1e8, 2.0 ** 40, 1e10, 1e12]
 
 @pytest.mark.parametrize("c", SCALES)
 def test_scaled_hildebrand_keeps_its_five_zero_vertices(c):
-    # the sweep and the re-check of its zeros read X / 2^e: at c = 1e8
-    # roundoff puts min(c X tau) near -3e-8, past the bound -zero_bound(tol)
-    # = -1e-8 on c X itself, and at c = 1e12 |t'(c X)t| reaches 5e-5
+    # the sweep's zero and sign rules read X / 2^e: at c = 1e8 roundoff
+    # puts min(c X tau) near -3e-8, past the bound -zero_bound(tol) = -1e-8
+    # on c X itself, and at c = 1e12 |t'(c X)t| reaches 5e-5
     x = build_extremal5()["x"]
     ref = enumerate_zero_vertices(x, TOL)
     got = enumerate_zero_vertices(c * x, TOL)
@@ -135,8 +135,8 @@ def test_scaled_hildebrand_keeps_its_five_zero_vertices(c):
 
 @pytest.mark.parametrize("c", SCALES)
 def test_scaled_hildebrand_keeps_its_contact_sets_and_blocks(c):
-    # the contact rule |(X tau)_k| <= zero_tol reads X / 2^e as the vertex
-    # re-check does: at c = 1e8, (c X tau)_k on supp(tau) is -1.3e-8 to
+    # the contact rule |(X tau)_k| <= zero_tol reads X / 2^e as the sweep's
+    # sign rule does: at c = 1e8, (c X tau)_k on supp(tau) is -1.3e-8 to
     # -3.4e-8 from roundoff alone, and at c = 1e10 tau'(c X)tau is 3.3e-7
     x = build_extremal5()["x"]
     ref = compute_zero_structure(x, TOL)
