@@ -200,8 +200,9 @@ def main(argv=None) -> int:
     """Flag values are checked here, before any work is done."""
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "scenario" and args.action == "run" and not args.name:
-            raise ValueError("scenario run requires a name")
+        if args.command == "scenario" and (args.action == "run") != bool(args.name):
+            raise ValueError("scenario run requires a name" if args.action == "run"
+                             else f"scenario list takes no name, got {args.name!r}")
         tol = Tolerances(**{f.name: getattr(args, f.name)
                             for f in dataclasses.fields(Tolerances)})
     except ValueError as exc:

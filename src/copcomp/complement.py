@@ -76,13 +76,6 @@ class DualDecomposition:
     def unique(self) -> bool:
         return self.basis_rank == self.basis_pairs
 
-    def total(self) -> np.ndarray:
-        p = self.components[0].shape[0] if self.components else 0
-        out = np.zeros((p, p))
-        for c in self.components:
-            out += c
-        return out
-
     def to_json(self) -> dict:
         return {
             "components": [c.tolist() for c in self.components],

@@ -251,8 +251,9 @@ def cp_membership(u: np.ndarray, generators, tol: Tolerances = Tolerances()) -> 
     """CP membership relative to a finite nonnegative generator set.
 
     Solves min ||sum_i a_i g_i g_i' - U||_F over a >= 0 (the Lawson-Hanson
-    active set of :func:`symcore.nnls`) on svec coordinates; certificate
-    when the residual is <= zero_tol.
+    active set of :func:`symcore.nnls`) on svec coordinates of U / 2^e
+    (:func:`unit_scale`), so no norm in it overflows, and maps the weights
+    and residual back exactly; certificate when the residual is <= zero_tol.
     The doubly-nonnegative necessary test is reported alongside.
     """
     u = symmetrize(u)
@@ -266,7 +267,8 @@ def cp_membership(u: np.ndarray, generators, tol: Tolerances = Tolerances()) -> 
         if np.min(g) < -tol.zero_tol:
             raise ValueError("generators must be entrywise nonnegative")
     dnn = doubly_nonnegative(u, tol)
-    a, b = outer_columns(gens), svec(u)
-    w, resid = nnls(a, b)
+    scaled, e = unit_scale(u)
+    w, resid = nnls(outer_columns(gens), svec(scaled))
+    w, resid = np.ldexp(w, e), float(np.ldexp(resid, e))
     member = resid <= tol.zero_tol
     return CpCertificate(member, gens, w if member else None, resid, dnn)

@@ -59,10 +59,6 @@ class DefiningSystem:
         ends = np.cumsum([self.p_star] + self.block_dims).tolist()
         self.w_slice = [slice(a, b) for a, b in zip(ends, ends[1:])]
 
-    def offsets(self) -> list[int]:
-        """Start offset of svec(W(s)) inside z for each block."""
-        return [sl.start for sl in self.w_slice]
-
     def _checked(self, z) -> np.ndarray:
         z = np.asarray(z, dtype=float)
         if z.shape != (self.size,):
@@ -83,7 +79,7 @@ class DefiningSystem:
 
     def pack(self, x: np.ndarray, ws: list) -> np.ndarray:
         parts = [svec(symmetrize(x))]
-        for w, ps in zip(ws, self.supports):
+        for w, ps in zip(ws, self.supports, strict=True):
             w = symmetrize(w)
             if w.shape[0] != len(ps):
                 raise ValueError("W block order does not match its support")
@@ -97,7 +93,7 @@ class DefiningSystem:
             "p_star": self.p_star,
             "block_dims": self.block_dims,
             "m": self.m,
-            "anchor": self.anchor.tolist(),
+            "anchor": None if self.anchor is None else self.anchor.tolist(),
         }
 
 
@@ -140,7 +136,7 @@ def residual(sys: DefiningSystem, z: np.ndarray) -> np.ndarray:
 def reconstruct_U(sys: DefiningSystem, ws: list) -> np.ndarray:
     """U = sum_s B(W(s), s); overlapping support entries add."""
     u = np.zeros((sys.p, sys.p))
-    for w, ps in zip(ws, sys.supports):
+    for w, ps in zip(ws, sys.supports, strict=True):
         u += embed(w, ps, sys.p)
     return u
 
@@ -211,6 +207,14 @@ def solve_local(sys: DefiningSystem, x_perturbed: np.ndarray,
     return NO_CONVERGENCE, float(np.linalg.norm(r, ord=np.inf))
 
 
+def _path_point(sys: DefiningSystem, x: np.ndarray, ws: list):
+    """max |residual| of the defining equations at (X, W(s)), and the U
+    that the W(s) reconstruct."""
+    r = residual(sys, sys.pack(x, ws))
+    anti = float(np.linalg.norm(r, ord=np.inf)) if r.size else 0.0
+    return anti, reconstruct_U(sys, ws)
+
+
 def verify_forward(x_path: list, u_path: list, zs: ZeroStructure,
                    dd: DualDecomposition, tol: Tolerances = Tolerances()) -> list[dict]:
     """Check the forward conclusions along a complementary path.
@@ -222,7 +226,7 @@ def verify_forward(x_path: list, u_path: list, zs: ZeroStructure,
     """
     sys = build_system(zs, dd)
     reports = []
-    for k, (x_eps, u_eps) in enumerate(zip(x_path, u_path)):
+    for k, (x_eps, u_eps) in enumerate(zip(x_path, u_path, strict=True)):
         x_eps = symmetrize(x_eps)
         u_eps = symmetrize(u_eps)
         comp = abs(float(np.tensordot(x_eps, u_eps)))
@@ -231,10 +235,8 @@ def verify_forward(x_path: list, u_path: list, zs: ZeroStructure,
                 f"path point {k} is not complementary (X . U = {comp:.3e})")
         comps, _, fit_residual = face_nnls(zs.vertices, zs.blocks, u_eps)
         ws = [restrict(c, ps) for c, ps in zip(comps, sys.supports)]
-        z = sys.pack(x_eps, ws)
-        r = residual(sys, z)
-        anti = float(np.linalg.norm(r, ord=np.inf)) if r.size else 0.0
-        recon = float(np.linalg.norm(reconstruct_U(sys, ws) - u_eps))
+        anti, u_fit = _path_point(sys, x_eps, ws)
+        recon = float(np.linalg.norm(u_fit - u_eps))
         reports.append({
             "index": k,
             "complementarity": comp,
@@ -257,11 +259,9 @@ def verify_backward(x_path: list, w_paths: list, zs: ZeroStructure,
     """
     sys = build_system(zs, dd)
     reports = []
-    for k, (x_eps, ws) in enumerate(zip(x_path, w_paths)):
+    for k, (x_eps, ws) in enumerate(zip(x_path, w_paths, strict=True)):
         x_eps = symmetrize(x_eps)
-        z = sys.pack(x_eps, ws)
-        r = residual(sys, z)
-        anti = float(np.linalg.norm(r, ord=np.inf)) if r.size else 0.0
+        anti, u_eps = _path_point(sys, x_eps, ws)
         if anti > tol.slack:
             raise ValueError(
                 f"path point {k} violates the anticommutator equations "
@@ -279,7 +279,6 @@ def verify_backward(x_path: list, w_paths: list, zs: ZeroStructure,
                 "nnls_residual": cert.residual,
                 "doubly_nonnegative": dnn,
             })
-        u_eps = reconstruct_U(sys, ws)
         comp = abs(float(np.tensordot(x_eps, u_eps)))
         reports.append({
             "index": k,

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cones import cp_membership, doubly_nonnegative, is_copositive
+from .cones import cp_membership, is_copositive
 from .complement import (
     FAIL,
     PASS,
@@ -34,9 +34,6 @@ class Scenario:
     description: str
     build: callable
     expectations: callable  # (tol) -> list of check records
-
-    def to_json(self) -> dict:
-        return {"name": self.name, "description": self.description}
 
 
 def _check(name: str, passed, detail: str = "") -> dict:
@@ -70,12 +67,11 @@ def _match_vertex_sets(found, expected, atol: float) -> bool:
 
 
 def _pipeline(x, u, tol):
+    """X's zero structure, U's dual decomposition over it and the
+    assumption report, each computed once."""
     zs = compute_zero_structure(x, tol)
     dd = decompose_dual(u, zs, tol)
-    report = check_assumptions(zs, dd, tol)
-    sys = build_system(zs, dd)
-    cert = rank_certificate(sys, sys.anchor, tol)
-    return zs, dd, report, sys, cert
+    return zs, dd, check_assumptions(zs, dd, tol)
 
 
 def _support_sets(zs) -> set:
@@ -104,7 +100,9 @@ def build_s4() -> dict:
 def _s4_expectations(tol: Tolerances) -> list[dict]:
     data = build_s4()
     x, u, b, c = data["x"], data["u"], data["b"], data["c"]
-    zs, dd, rep, sys, cert = _pipeline(x, u, tol)
+    zs, dd, rep = _pipeline(x, u, tol)
+    sys = build_system(zs, dd)
+    cert = rank_certificate(sys, sys.anchor, tol)
     out = [
         _check("vertices {(1/2,1/2,0),(0,1/2,1/2)}",
                _match_vertex_sets(zs.vertices,
@@ -243,7 +241,7 @@ def _extremal5_path_checks(data, tol: Tolerances) -> list[dict]:
 def _extremal5_expectations(tol: Tolerances, theta=THETA_STAR) -> list[dict]:
     data = build_extremal5(theta)
     x, u, a, b = data["x"], data["u"], data["a"], data["b"]
-    zs, dd, rep, sys, cert = _pipeline(x, u, tol)
+    zs, _, rep = _pipeline(x, u, tol)
     taus_norm = [t / np.sum(t) for t in data["taus"]]
     return [
         _check("H == aa' + bb' (residual <= 1e-10)",
@@ -263,9 +261,7 @@ def _pp3z_j_expectations(tol: Tolerances) -> list[dict]:
     """The forward theorem loses its conclusion when only strict
     complementarity fails: same family, path-focused expectations."""
     data = build_extremal5()
-    zs = compute_zero_structure(data["x"], tol)
-    dd = decompose_dual(data["u"], zs, tol)
-    rep = check_assumptions(zs, dd, tol)
+    zs, dd, rep = _pipeline(data["x"], data["u"], tol)
     out = [_check("anchor assumption j FAIL", rep.j.status == FAIL, rep.j.status)]
     out.extend(_extremal5_path_checks(data, tol))
     path = [extremal5_path(data["theta"], eps) for eps in EPS_PATH]
@@ -302,7 +298,7 @@ def pp3z_jjj_path(eps):
 
 def _pp3z_jjj_expectations(tol: Tolerances) -> list[dict]:
     data = build_pp3z_jjj()
-    zs, dd, rep, sys, cert = _pipeline(data["x"], data["u"], tol)
+    zs, _, rep = _pipeline(data["x"], data["u"], tol)
     out = [
         _check("single vertex (1/2,1/2,0)",
                _match_vertex_sets(zs.vertices, [np.array([0.5, 0.5, 0.0])], 1e-9)),
@@ -366,7 +362,7 @@ def pp4z_j_path(eps):
 
 def _pp4z_j_expectations(tol: Tolerances) -> list[dict]:
     data = build_pp4z_j()
-    zs, dd, rep, sys, cert = _pipeline(data["x"], data["u"], tol)
+    zs, _, rep = _pipeline(data["x"], data["u"], tol)
     e = np.eye(4)
     return [
         _check("vertices e2, e3, e4",
@@ -399,7 +395,7 @@ def pp4z_jjj_path(eps):
 
 def _pp4z_jjj_expectations(tol: Tolerances) -> list[dict]:
     data = build_pp4z_jjj()
-    zs, dd, rep, sys, cert = _pipeline(data["x"], data["u"], tol)
+    zs, dd, rep = _pipeline(data["x"], data["u"], tol)
     e = np.eye(3)
     return [
         _check("vertices e2, e3",
@@ -433,7 +429,7 @@ def pp4z_cond_ii_path(eps):
 
 def _pp4z_cond_ii_expectations(tol: Tolerances) -> list[dict]:
     data = build_pp4z_cond_ii()
-    zs, dd, rep, sys, cert = _pipeline(data["x"], data["u"], tol)
+    zs, dd, rep = _pipeline(data["x"], data["u"], tol)
     e = np.eye(3)
     out = [
         _check("vertices e2, e3",
@@ -449,7 +445,7 @@ def _pp4z_cond_ii_expectations(tol: Tolerances) -> list[dict]:
     for eps in EPS_GRID:
         _, w_eps = pp4z_cond_ii_path(eps)
         cert_w = cp_membership(w_eps, gens, tol)
-        dnn = doubly_nonnegative(w_eps, tol)
+        dnn = cert_w.doubly_nonnegative
         out.append(_check(
             f"eps={eps}: W(1,eps) not completely positive",
             not cert_w.member and not dnn,
@@ -493,10 +489,6 @@ SCENARIOS = {
 }
 
 
-def example_s4() -> Scenario:
-    return SCENARIOS["s4"]
-
-
 def hildebrand(theta=THETA_STAR) -> Scenario:
     """The order-5 extremal-family scenario; validates the anchor angles."""
     check_theta_anchor(theta)
@@ -507,11 +499,6 @@ def hildebrand(theta=THETA_STAR) -> Scenario:
             functools.partial(build_extremal5, theta),
             functools.partial(_extremal5_expectations, theta=theta))
     return SCENARIOS["hildebrand"]
-
-
-def violation_scenarios() -> list[Scenario]:
-    return [SCENARIOS[n] for n in
-            ("pp3z-j", "pp3z-jjj", "pp4z-j", "pp4z-jjj", "pp4z-cond-ii")]
 
 
 def scenario_names() -> list[str]:

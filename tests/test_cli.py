@@ -266,6 +266,13 @@ def test_scenario_run_requires_name(capsys):
     assert rc == 2
 
 
+def test_scenario_list_refuses_a_name(capsys):
+    rc = main(["scenario", "list", "s4"])
+    assert rc == 2
+    out = capsys.readouterr()
+    assert "input error" in out.err and out.out == ""
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")],
                          ids=["nan", "inf", "-inf"])
 def test_analyze_non_finite_entry_exit_2(tmp_path, capsys, bad):

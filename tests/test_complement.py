@@ -77,7 +77,7 @@ def test_decompose_worked_example():
     dd = decompose_dual(data["u"], zs, TOL)
     assert dd.residual <= 1e-12
     assert dd.unique
-    assert np.allclose(dd.total(), data["u"], atol=1e-10)
+    assert np.allclose(sum(dd.components), data["u"], atol=1e-10)
     by_support = {ps: c for ps, c in zip(zs.supports, dd.components)}
     assert np.linalg.norm(by_support[(0, 1)]
                           - np.outer(data["b"], data["b"])) <= 1e-10

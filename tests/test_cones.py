@@ -192,6 +192,16 @@ def test_cp_membership_rejects_outside_span():
     assert cert.residual > 0.5
 
 
+def test_cp_membership_fits_a_huge_u_without_overflow():
+    # the fit reads U / 2^e, so 1e300 U overflows no norm or product
+    gens = [np.array([1.0, 1.0, 0.0]), np.array([0.0, 1.0, 1.0])]
+    cert = cp_membership(1e300 * np.outer(gens[0], gens[0]), gens, TOL)
+    assert cert.member
+    assert np.isfinite(cert.residual)
+    assert np.isclose(cert.weights[0], 1e300, rtol=1e-12)
+    assert cert.weights[1] == 0.0
+
+
 def test_cp_membership_validates_generators():
     with pytest.raises(ValueError):
         cp_membership(np.eye(2), [], TOL)

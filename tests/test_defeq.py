@@ -8,6 +8,7 @@ from copcomp.cones import cp_membership, doubly_nonnegative
 from copcomp.defeq import (
     NO_CONVERGENCE,
     NOT_APPLICABLE,
+    DefiningSystem,
     build_system,
     check_p23101,
     express_in_pair_basis,
@@ -53,7 +54,6 @@ def test_worked_example_layout():
     # supports {2, 3} and {1, 2}; svec(X) holds x11, x21, x31, x22, x32, x33
     assert [xi.tolist() for xi in sys.x_index] == [[3, 4, 5], [0, 1, 3]]
     assert sys.w_slice == [slice(6, 9), slice(9, 12)]
-    assert sys.offsets() == [6, 9]
 
 
 def test_extremal5_layout():
@@ -63,7 +63,6 @@ def test_extremal5_layout():
     assert sys.size == 30
     assert [xi.tolist() for xi in sys.x_index] == [list(range(15))]
     assert sys.w_slice == [slice(15, 30)]
-    assert sys.offsets() == [15]
 
 
 def test_empty_system():
@@ -71,7 +70,7 @@ def test_empty_system():
     dd = decompose_dual(np.zeros((3, 3)), zs, TOL)
     sys = build_system(zs, dd)
     assert sys.m == 0
-    assert sys.x_index == [] and sys.w_slice == [] and sys.offsets() == []
+    assert sys.x_index == [] and sys.w_slice == []
     assert residual(sys, sys.anchor).size == 0
     cert = rank_certificate(sys, sys.anchor, TOL)
     assert cert.full_rank and cert.m_expected == 0
@@ -160,14 +159,14 @@ def _jacobian_loop(sys, z):
     full_pairs = {pair: idx for idx, pair in enumerate(pairs(sys.p))}
     jac = np.zeros((sys.m, sys.size))
     row = 0
-    for w, ps, off, d in zip(ws, sys.supports, sys.offsets(), sys.block_dims):
+    for w, ps, sl, d in zip(ws, sys.supports, sys.w_slice, sys.block_dims):
         idx = np.asarray(ps)
         k_block = 2.0 * sym_kron(w, np.eye(len(ps)))
         l_block = 2.0 * sym_kron(restrict(x, ps), np.eye(len(ps)))
         for col_local, (a, b) in enumerate(pairs(len(ps))):
             col_global = full_pairs[(int(idx[a]), int(idx[b]))]
             jac[row: row + d, col_global] = k_block[:, col_local]
-        jac[row: row + d, off: off + d] = l_block
+        jac[row: row + d, sl] = l_block
         row += d
     return jac
 
@@ -436,6 +435,39 @@ def test_verify_backward_rejects_equation_violation():
     bad = [w + np.eye(2) for w in ws0]
     with pytest.raises(ValueError):
         verify_backward([np.eye(3)], [bad], zs, dd, TOL)
+
+
+def test_verify_forward_refuses_paths_of_unequal_length():
+    data, zs, dd, sys = _anchor("s4")
+    with pytest.raises(ValueError):
+        verify_forward([data["x"]] * 3, [data["u"]], zs, dd, TOL)
+
+
+def test_verify_backward_refuses_paths_of_unequal_length():
+    data, zs, dd, sys = _anchor("s4")
+    _, ws0 = sys.split(sys.anchor)
+    with pytest.raises(ValueError):
+        verify_backward([data["x"]] * 2, [ws0], zs, dd, TOL)
+
+
+def test_pack_refuses_an_extra_w_block():
+    data, zs, dd, sys = _anchor("s4")
+    x, ws = sys.split(sys.anchor)
+    with pytest.raises(ValueError):
+        sys.pack(x, ws + [np.eye(2)])
+
+
+def test_reconstruct_refuses_an_extra_w_block():
+    data, zs, dd, sys = _anchor("s4")
+    _, ws = sys.split(sys.anchor)
+    with pytest.raises(ValueError):
+        reconstruct_U(sys, ws + [np.eye(2)])
+
+
+def test_to_json_without_anchor():
+    obj = DefiningSystem(3, [(0, 1), (1, 2)]).to_json()
+    assert obj["anchor"] is None
+    assert obj["supports"] == [[1, 2], [2, 3]] and obj["m"] == 6
 
 
 def test_check_p23101_constructed_pairs():
