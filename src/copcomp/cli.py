@@ -5,7 +5,8 @@ symmetric-matrix files; ``copcomp scenario run NAME`` replays a bundled
 scenario; ``copcomp scenario list`` enumerates them.  Exit codes: 0 on
 success, 1 on a structural failure (the analyze verdicts X_NOT_COPOSITIVE,
 ZERO_STRUCTURE_FAILURE, DECOMPOSITION_FAILURE, ASSUMPTIONS_FAILURE and
-RANK_DEFICIENT, or a failed scenario expectation), 2 on bad input.
+RANK_DEFICIENT, a failed scenario expectation, or a stage of a scenario
+run that raises), 2 on bad input, an unknown scenario name among it.
 """
 
 from __future__ import annotations
@@ -149,9 +150,9 @@ def cmd_scenario(args, tol: Tolerances) -> int:
         return 0
     try:
         records = run_scenario(args.name, tol)
-    except KeyError as exc:
-        print(f"input error: {exc.args[0]}", file=sys.stderr)
-        return 2
+    except (ValueError, RuntimeError) as exc:
+        print(f"scenario error: {exc}", file=sys.stderr)
+        return 1
     if args.json:
         json.dump({"schema": SCHEMA, "scenario": args.name,
                    "checks": records}, sys.stdout, indent=2, sort_keys=True)
@@ -203,6 +204,9 @@ def main(argv=None) -> int:
         if args.command == "scenario" and (args.action == "run") != bool(args.name):
             raise ValueError("scenario run requires a name" if args.action == "run"
                              else f"scenario list takes no name, got {args.name!r}")
+        if args.command == "scenario" and args.name not in (None, *SCENARIOS):
+            raise ValueError(f"unknown scenario {args.name!r}; "
+                             f"known: {', '.join(SCENARIOS)}")
         tol = Tolerances(**{f.name: getattr(args, f.name)
                             for f in dataclasses.fields(Tolerances)})
     except ValueError as exc:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .symcore import (NOT_PSD, SymMatError, Tolerances, nnls, outer_columns,
+from .symcore import (SymMatError, Tolerances, nnls, outer_columns,
                       psd_status, smat, svec, symmetrize)
 
 EXACT_COPOSITIVITY_LIMIT = 12
@@ -240,11 +240,13 @@ def simplex_min_oracle(x: np.ndarray, grid_depth: int) -> tuple[float, np.ndarra
 
 
 def doubly_nonnegative(u: np.ndarray, tol: Tolerances) -> bool:
-    """Necessary CP test: entrywise nonnegative and PSD (exact CP for p <= 4)."""
+    """Necessary CP test: entrywise nonnegative and PSD (exact CP for p <= 4),
+    min(U) and lambda_min(U) gated by zero_tol and psd_tol times
+    max(1, max|U|), as in :func:`complement.positive_factorization`."""
     u = symmetrize(u)
-    if u.size and np.min(u) < -tol.zero_tol:
-        return False
-    return psd_status(u, tol)[0] != NOT_PSD
+    scale = max(1.0, np.max(np.abs(u), initial=0.0))
+    return bool(np.min(u, initial=0.0) >= -tol.zero_tol * scale
+                and psd_status(u, tol)[1] >= -tol.psd_tol * scale)
 
 
 def cp_membership(u: np.ndarray, generators, tol: Tolerances = Tolerances()) -> CpCertificate:

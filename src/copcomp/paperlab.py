@@ -490,9 +490,13 @@ SCENARIOS = {
 
 
 def hildebrand(theta=THETA_STAR) -> Scenario:
-    """The order-5 extremal-family scenario; validates the anchor angles."""
-    check_theta_anchor(theta)
-    if tuple(theta) != THETA_STAR:
+    """The order-5 extremal-family scenario; validates the anchor angles,
+    whose path theta_1 - eps must stay in (0, pi) for every eps in EPS_PATH."""
+    theta = check_theta_anchor(theta)
+    if theta[0] <= max(EPS_PATH):
+        raise ValueError(f"theta_1 must exceed max(EPS_PATH) = {max(EPS_PATH)} "
+                         f"so that the path stays in (0, pi), got {theta[0]}")
+    if theta != THETA_STAR:
         return Scenario(
             "hildebrand",
             SCENARIOS["hildebrand"].description,

@@ -7,7 +7,7 @@ supports, and per-block basis subsets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,7 +33,6 @@ class ZeroStructure:
     blocks: list  # list of sorted vertex-index tuples J(s)
     supports: list  # list of sorted index tuples P_*(s)
     basis: list  # list of sorted vertex-index tuples J_b(s)
-    cond_c_witnesses: dict = field(default_factory=dict)
     overlapping_blocks: bool = False
 
     @property
@@ -145,11 +144,19 @@ def _maximal_cliques(n: int, adj: list[set]) -> list[tuple[int, ...]]:
 
 
 def partition_blocks(vertices: list, contact_sets: list, tol: Tolerances = Tolerances()):
-    """Blocks J(s) as maximal cliques of the mutual-compatibility graph.
+    """Blocks J(s) and their supports P_*(s), as ``(blocks, supports)``.
 
-    Edge {i, j} iff supp(tau(i)) <= M(j) and supp(tau(j)) <= M(i); the
-    cover conditions a)-c) are re-verified on the output and separation
-    witnesses (i0, j0, k0) recorded for condition c).
+    The blocks are the maximal cliques of the compatibility graph, edge
+    {i, j} iff supp(tau(i)) <= M(j) and supp(tau(j)) <= M(i); P_*(s) is
+    the union of its members' supports.  Cover conditions a) and b) hold
+    by construction: a) since every vertex lies in some maximal clique,
+    b) since clique members are pairwise compatible and
+    :func:`compute_contact_set` refuses any tau with supp(tau) not in M(tau).
+    Condition c) does not follow from maximality and raises
+    :class:`ZeroStructureError` when it fails: for blocks J(a) != J(b),
+    every i0 in J(a) - J(b) needs a j0 in J(b) - J(a) with
+    supp(tau(i0)) not in M(j0).  Both differences are nonempty, since no
+    maximal clique contains another.
     """
     n = len(vertices)
     supp = [set(support_of(v, tol)) for v in vertices]
@@ -161,45 +168,14 @@ def partition_blocks(vertices: list, contact_sets: list, tol: Tolerances = Toler
                 adj[i].add(j)
                 adj[j].add(i)
     blocks = _maximal_cliques(n, adj) if n else []
-
-    # condition a): every index covered
-    covered = set().union(*[set(b) for b in blocks]) if blocks else set()
-    if covered != set(range(n)):
-        raise ZeroStructureError("block cover misses vertex indices (condition a)")
-    # condition b): union of supports inside every member's contact set
-    for b in blocks:
-        union_supp = set().union(*[supp[j] for j in b])
-        for i in b:
-            if not union_supp <= contact[i]:
-                raise ZeroStructureError(
-                    f"condition b) fails for block {b}, member {i}"
-                )
-    # condition c): pairwise separation witnesses
-    witnesses = {}
-    for a in range(len(blocks)):
-        for bidx in range(len(blocks)):
-            if a == bidx:
-                continue
-            sa, sb = set(blocks[a]), set(blocks[bidx])
-            only_a = sa - sb
-            only_b = sb - sa
-            if not only_a or not only_b:
-                raise ZeroStructureError(
-                    f"blocks {blocks[a]} and {blocks[bidx]} violate condition c)"
-                )
-            for i0 in sorted(only_a):
-                found = None
-                for j0 in sorted(only_b):
-                    bad = sorted(supp[i0] - contact[j0])
-                    if bad:
-                        found = (i0, j0, bad[0])
-                        break
-                if found is None:
+    for a in blocks:
+        for b in blocks:
+            for i0 in sorted(set(a) - set(b)):
+                if all(supp[i0] <= contact[j0] for j0 in set(b) - set(a)):
                     raise ZeroStructureError(
-                        f"no condition-c witness for index {i0} against block {blocks[bidx]}"
-                    )
-                witnesses[(a, bidx, i0)] = found
-    return blocks, witnesses
+                        f"no condition-c witness for index {i0} against block {b}")
+    supports = [tuple(sorted(set().union(*(supp[j] for j in b)))) for b in blocks]
+    return blocks, supports
 
 
 def basis_subset(vertices: list, block, tol: Tolerances = Tolerances()) -> tuple[int, ...]:
@@ -224,26 +200,14 @@ def compute_zero_structure(x: np.ndarray, tol: Tolerances = Tolerances(),
     x = symmetrize(x)
     vertices = enumerate_zero_vertices(x, tol, verdict)
     contact_sets = [compute_contact_set(x, v, tol) for v in vertices]
-    blocks, witnesses = partition_blocks(vertices, contact_sets, tol)
-    supports = []
-    basis = []
-    for b in blocks:
-        union_supp = sorted(set().union(*[set(support_of(vertices[j], tol)) for j in b]))
-        supports.append(tuple(union_supp))
-        basis.append(basis_subset(vertices, b, tol))
-    seen = set()
-    overlap = False
-    for b in blocks:
-        if seen & set(b):
-            overlap = True
-        seen |= set(b)
+    blocks, supports = partition_blocks(vertices, contact_sets, tol)
     return ZeroStructure(
         x=x,
         vertices=vertices,
         contact_sets=contact_sets,
         blocks=blocks,
         supports=supports,
-        basis=basis,
-        cond_c_witnesses=witnesses,
-        overlapping_blocks=overlap,
+        basis=[basis_subset(vertices, b, tol) for b in blocks],
+        # the blocks cover all n vertices, so they overlap iff their sizes sum past n
+        overlapping_blocks=sum(map(len, blocks)) > len(vertices),
     )

@@ -255,10 +255,25 @@ def test_scenario_run_json(capsys):
     assert all(c["passed"] for c in report["checks"])
 
 
-def test_scenario_unknown_exit_2(capsys):
+def test_scenario_unknown_exit_2(capsys, monkeypatch):
+    """An unknown name is refused in main, before any scenario runs."""
+    monkeypatch.setattr(cli, "run_scenario", lambda *a: pytest.fail("ran"))
     rc = main(["scenario", "run", "nope"])
     assert rc == 2
-    assert "input error" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith("input error: unknown scenario 'nope'")
+
+
+@pytest.mark.parametrize("name, flag", [
+    ("s4", "--zero-tol"), ("hildebrand", "--zero-tol"), ("pp3z-j", "--zero-tol"),
+    ("pp3z-jjj", "--zero-tol"), ("hildebrand", "--psd-tol"),
+    ("pp3z-j", "--psd-tol"), ("pp3z-jjj", "--psd-tol")])
+def test_scenario_stage_error_exits_1(capsys, name, flag):
+    """At tolerance 0.5 these scenarios find no zero vertex, so decompose_dual
+    raises; the run ends in one stderr line, not a traceback."""
+    rc = main(["scenario", "run", name, flag, "0.5"])
+    out = capsys.readouterr()
+    assert rc == 1 and out.out == ""
+    assert out.err == "scenario error: empty zero set admits only U = 0\n"
 
 
 def test_scenario_run_requires_name(capsys):

@@ -175,6 +175,18 @@ def test_doubly_nonnegative():
     assert not doubly_nonnegative(np.array([[1.0, 2.0], [2.0, 1.0]]), TOL)
 
 
+@pytest.mark.parametrize("c", [1.0, 1e4, 1e8, 1e12, 1e300])
+def test_doubly_nonnegative_is_scale_invariant(c):
+    """Both gates are relative to max(1, max|U|): roundoff in lambda_min of
+    a large U keeps it DNN, and an entry at -1e-3 max|U| never does."""
+    g0, g1 = np.array([1.0, 1.0, 0.0]), np.array([0.0, 1.0, 1.0])
+    u = c * (2.0 * np.outer(g0, g0) + 0.5 * np.outer(g1, g1))
+    assert doubly_nonnegative(u, TOL)
+    bad = u.copy()
+    bad[0, 2] = bad[2, 0] = -1e-3 * np.max(np.abs(u))
+    assert not doubly_nonnegative(bad, TOL)
+
+
 def test_cp_membership_member():
     gens = [np.array([1.0, 1.0, 0.0]), np.array([0.0, 1.0, 1.0])]
     u = 2.0 * np.outer(gens[0], gens[0]) + 0.5 * np.outer(gens[1], gens[1])

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from copcomp.paperlab import (
+    EPS_PATH,
     SCENARIOS,
     THETA_STAR,
     build_extremal5,
@@ -99,6 +100,14 @@ def test_hildebrand_nondefault_anchor():
     assert not failures, failures
     with pytest.raises(ValueError):
         hildebrand((0.5,) * 5)
+
+
+@pytest.mark.parametrize("theta_1", [0.1, max(EPS_PATH)])
+def test_hildebrand_refuses_an_anchor_whose_path_leaves_the_range(theta_1):
+    """theta_1 - eps must stay in (0, pi) for every eps in EPS_PATH."""
+    theta = (theta_1, 0.7, 0.7, 0.8, np.pi - 2.2 - theta_1)
+    with pytest.raises(ValueError, match="EPS_PATH"):
+        hildebrand(theta)
 
 
 def test_scenario_json():

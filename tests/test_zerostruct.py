@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
@@ -183,20 +185,76 @@ def test_blocks_are_maximal_and_condition_b():
 
 
 def test_condition_c_witnesses_recorded():
-    data = build_s4()
-    zs = compute_zero_structure(data["x"], TOL)
-    assert zs.cond_c_witnesses  # two blocks -> separation witnesses exist
-    for (a, b, i0), (i, j0, k0) in zs.cond_c_witnesses.items():
-        assert i == i0
-        assert k0 in support_of(zs.vertices[i0], TOL)
-        assert k0 not in zs.contact_sets[j0]
+    """s4's two blocks are separated as condition c) asks: each i0 in one
+    block and not the other has a j0 only in the other, and a k0 in
+    supp(tau(i0)) outside M(j0)."""
+    zs = compute_zero_structure(build_s4()["x"], TOL)
+    assert len(zs.blocks) == 2
+    for a, b in itertools.permutations(map(set, zs.blocks)):
+        for i0 in a - b:
+            assert any(set(support_of(zs.vertices[i0], TOL)) - set(zs.contact_sets[j0])
+                       for j0 in b - a)
 
 
 def test_partition_blocks_single_vertex():
     v = [np.array([0.5, 0.5, 0.0])]
-    blocks, witnesses = partition_blocks(v, [(0, 1, 2)], TOL)
-    assert blocks == [(0,)]
-    assert witnesses == {}
+    assert partition_blocks(v, [(0, 1, 2)], TOL) == ([(0,)], [(0, 1)])
+
+
+def test_partition_blocks_raises_on_condition_c():
+    """e1 and e2 are incompatible (supp e2 is not in M(e1) = {1}), but
+    supp e1 lies in M(e2) = {1, 2}: no witness separates {e1} from {e2}."""
+    e = np.eye(2)
+    with pytest.raises(ZeroStructureError, match="condition-c"):
+        partition_blocks([e[0], e[1]], [(0,), (0, 1)], TOL)
+
+
+def _maximal_compatible_sets(supp, contact):
+    """Reference blocks by brute force: the inclusion-maximal vertex sets
+    whose union of supports lies in each member's contact set."""
+    n = len(supp)
+    ok = [set(c) for r in range(1, n + 1) for c in itertools.combinations(range(n), r)
+          if all(set().union(*(supp[j] for j in c)) <= contact[i] for i in c)]
+    return sorted(tuple(sorted(c)) for c in ok if not any(c < d for d in ok))
+
+
+def _condition_c_holds(blocks, supp, contact):
+    return all(any(supp[i0] - contact[j0] for j0 in set(b) - set(a))
+               for a in blocks for b in blocks for i0 in set(a) - set(b))
+
+
+def test_partition_blocks_cover_and_condition_b_by_construction():
+    """On random supports and contact sets with supp(tau(j)) in M(j), the
+    blocks are the maximal sets that satisfy b) and cover every vertex
+    (condition a); partition_blocks raises exactly when c) fails."""
+    rng = np.random.default_rng(20261019)
+    checked = several = 0
+    for _ in range(300):
+        p, n = int(rng.integers(2, 6)), int(rng.integers(1, 7))
+        vertices, contact_sets = [], []
+        for _ in range(n):
+            s = rng.choice(p, size=int(rng.integers(1, p + 1)), replace=False)
+            v = np.zeros(p)
+            v[s] = rng.random(len(s)) + 0.1
+            vertices.append(v / v.sum())
+            extra = np.flatnonzero(rng.random(p) < 0.5)
+            contact_sets.append(tuple(sorted(set(s) | set(extra))))
+        supp = [set(support_of(v, TOL)) for v in vertices]
+        contact = [set(m) for m in contact_sets]
+        reference = _maximal_compatible_sets(supp, contact)
+        if not _condition_c_holds(reference, supp, contact):
+            with pytest.raises(ZeroStructureError):
+                partition_blocks(vertices, contact_sets, TOL)
+            continue
+        blocks, supports = partition_blocks(vertices, contact_sets, TOL)
+        assert blocks == reference
+        assert set().union(*map(set, blocks)) == set(range(n))
+        for block, ps in zip(blocks, supports, strict=True):
+            assert set(ps) == set().union(*(supp[j] for j in block))
+            assert all(set(ps) <= contact[i] for i in block)
+        checked += 1
+        several += len(blocks) > 1
+    assert checked >= 50 and several >= 10
 
 
 def test_basis_subset_drops_dependent_vertices():
@@ -293,7 +351,6 @@ def test_zero_structure_reuses_verdict(build):
     given = compute_zero_structure(x, TOL, verdict)
     fresh = compute_zero_structure(x, TOL)
     assert given.to_json() == fresh.to_json()
-    assert given.cond_c_witnesses == fresh.cond_c_witnesses
 
 
 def test_zero_structure_rejects_non_member_verdict():
