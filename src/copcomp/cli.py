@@ -28,7 +28,7 @@ from .paperlab import run_scenario, scenario_names, SCENARIOS
 from .symcore import SymMatError, Tolerances, load_symmat, symmat_to_json
 from .zerostruct import compute_zero_structure
 
-SCHEMA = "copcomp/1"
+SCHEMA = "copcomp/2"
 # analyze verdicts that exit 0; every other verdict exits 1
 EXIT_0_VERDICTS = ("OK", "ZERO_STRUCTURE_ONLY", "EMPTY_ZERO_SET_U_MUST_BE_ZERO")
 
@@ -98,7 +98,6 @@ def _stages(x, u, verdict, tol: Tolerances) -> dict:
         out["verdict"] = stage
         out["error"] = str(exc)
         return out
-    out["system"] = system.to_json()
     out["rank_certificate"] = cert.to_json()
     out["verdict"] = "OK" if cert.full_rank else "RANK_DEFICIENT"
     return out
@@ -135,7 +134,7 @@ def _emit(report: dict, args) -> None:
         print(f"conditions: {cond}")
     if "rank_certificate" in report:
         c = report["rank_certificate"]
-        print(f"defining system: m={report['system']['m']}, "
+        print(f"defining system: m={c['m_expected']}, "
               f"rank {c['rank_computed']}/{c['m_expected']} "
               f"(sigma ratio {c['sigma_ratio']:.3e})")
     if "error" in report:

@@ -78,7 +78,6 @@ class DualDecomposition:
 
     def to_json(self) -> dict:
         return {
-            "components": [c.tolist() for c in self.components],
             "restricted": [w.tolist() for w in self.restricted],
             "coefficients": [
                 {"+".join(str(j + 1) for j in combo): float(w)
@@ -86,7 +85,6 @@ class DualDecomposition:
                 for coeff in self.coefficients
             ],
             "residual": self.residual,
-            "unique": self.unique,
         }
 
 

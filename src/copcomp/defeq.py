@@ -86,17 +86,6 @@ class DefiningSystem:
             parts.append(svec(w))
         return np.concatenate(parts)
 
-    def to_json(self) -> dict:
-        return {
-            "p": self.p,
-            "supports": [[k + 1 for k in ps] for ps in self.supports],
-            "p_star": self.p_star,
-            "block_dims": self.block_dims,
-            "m": self.m,
-            "anchor": None if self.anchor is None else self.anchor.tolist(),
-        }
-
-
 @dataclass
 class RankCertificate:
     m_expected: int

@@ -139,11 +139,13 @@ def _s4_expectations(tol: Tolerances) -> list[dict]:
 
 
 # ---------------------------------------------------------------------------
-# extremal order-5 family H(theta)
+# order-5 Hildebrand family H(theta)
 
 
 def extremal5_matrix(theta) -> np.ndarray:
-    """The order-5 extremal copositive matrix H(theta)."""
+    """Hildebrand's order-5 copositive H(theta), extreme for angles summing
+    to less than pi (LAA 437, 2012); at a sum of pi, as at every anchor
+    here, H = aa' + bb' is PSD of rank 2 and not extreme."""
     t1, t2, t3, t4, t5 = _check_theta_entries(theta)
     c = np.cos
     h = np.array([
@@ -464,7 +466,7 @@ SCENARIOS = {
         build_s4, _s4_expectations),
     "hildebrand": Scenario(
         "hildebrand",
-        "order-5 extremal family H(theta): strict complementarity fails",
+        "order-5 family H(theta), PSD rank 2 at sum pi: strict complementarity fails",
         build_extremal5, _extremal5_expectations),
     "pp3z-j": Scenario(
         "pp3z-j",
@@ -490,8 +492,8 @@ SCENARIOS = {
 
 
 def hildebrand(theta=THETA_STAR) -> Scenario:
-    """The order-5 extremal-family scenario; validates the anchor angles,
-    whose path theta_1 - eps must stay in (0, pi) for every eps in EPS_PATH."""
+    """The H(theta) scenario at angles summing to pi (PSD of rank 2); validates
+    the anchor, whose path theta_1 - eps must stay in (0, pi) for each EPS_PATH eps."""
     theta = check_theta_anchor(theta)
     if theta[0] <= max(EPS_PATH):
         raise ValueError(f"theta_1 must exceed max(EPS_PATH) = {max(EPS_PATH)} "

@@ -406,12 +406,22 @@ def symmat_to_json(f: np.ndarray) -> dict:
 
 
 def symmat_from_json(obj: dict) -> np.ndarray:
+    """The matrix of ``{"p": p, "rows": [[...], ...]}``: p a JSON integer
+    and every entry a JSON number (a bool or a string is neither)."""
     try:
-        p = int(obj["p"])
-        rows = obj["rows"]
+        p, rows = obj["p"], obj["rows"]
     except (KeyError, TypeError) as exc:
         raise SymMatError(f"malformed SymMat JSON: {exc}") from exc
-    a = np.asarray(rows, dtype=float)
+    if isinstance(p, bool) or not isinstance(p, int):
+        raise SymMatError(f"p must be an integer, got {p!r}")
+    if not (isinstance(rows, list) and all(isinstance(r, list) for r in rows)
+            and all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                    for r in rows for v in r)):
+        raise SymMatError("rows must be a list of lists of numbers")
+    try:
+        a = np.asarray(rows, dtype=float)
+    except (OverflowError, ValueError) as exc:  # a huge integer, ragged rows
+        raise SymMatError(f"malformed rows: {exc}") from exc
     if a.shape != (p, p):
         raise SymMatError(f"rows shape {a.shape} does not match p={p}")
     return check_symmetric(a, tol=1e-12)

@@ -89,7 +89,7 @@ def test_criterion_1_worked_example(announce):
 
 
 # ---------------------------------------------------------------------------
-# criterion 2: order-5 extremal family at the anchor angles
+# criterion 2: order-5 Hildebrand family at the anchor angles
 
 
 def test_criterion_2_extremal_family(announce):
@@ -116,7 +116,7 @@ def test_criterion_2_extremal_family(announce):
             assert np.linalg.eigvalsh(x_eps)[0] < -1e-6
         assert all(r["passed"] for r in run_scenario("hildebrand", TOL))
 
-    _run(announce, 2, "order-5 extremal family at the anchor", body)
+    _run(announce, 2, "order-5 Hildebrand family at the anchor (PSD, rank 2)", body)
 
 
 # ---------------------------------------------------------------------------

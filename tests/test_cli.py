@@ -13,7 +13,8 @@ import copcomp.zerostruct as zerostruct
 from copcomp.cli import SCHEMA, main
 from copcomp.cones import EXACT_COPOSITIVITY_LIMIT
 from copcomp.paperlab import build_extremal5, build_pp4z_j, build_s4
-from copcomp.symcore import symmat_to_json
+from copcomp.defeq import DefiningSystem, rank_certificate
+from copcomp.symcore import Tolerances, svec, symmat_from_json, symmat_to_json
 
 
 def _write(tmp_path, name, mat):
@@ -45,7 +46,7 @@ def test_analyze_json_report(s4_files, capsys):
     assert report["schema"] == SCHEMA
     assert report["verdict"] == "OK"
     assert report["rank_certificate"]["full_rank"]
-    assert report["system"]["m"] == 6
+    assert report["rank_certificate"]["m_expected"] == 6
     assert sorted(map(tuple, report["zero_structure"]["supports"])) == [
         (1, 2), (2, 3)]
 
@@ -94,6 +95,35 @@ def test_analyze_invalid_json_exit_2(tmp_path, capsys):
     rc = main(["analyze", str(path)])
     assert rc == 2
     assert "input error" in capsys.readouterr().err
+
+
+# (p, entry (0, 0)) of a 3 x 3 SymMat file: a p that is not a JSON integer,
+# or an entry that is not a JSON number a float can hold
+_HOSTILE_SYMMATS = {
+    "p-1e400": ("1e400", "1"),
+    "p-string": ('"3"', "1"),
+    "p-bool": ("true", "1"),
+    "p-fraction": ("3.5", "1"),
+    "entry-object": ("3", '{"a": 1}'),
+    "entry-string": ("3", '"1.5"'),
+    "entry-bool": ("3", "true"),
+    "entry-huge-integer": ("3", "1" + "0" * 400),
+}
+
+
+@pytest.mark.parametrize("side", ["x", "u"])
+@pytest.mark.parametrize("case", _HOSTILE_SYMMATS)
+def test_analyze_malformed_symmat_exit_2(tmp_path, s4_files, capsys, case,
+                                         side):
+    p, entry = _HOSTILE_SYMMATS[case]
+    path = tmp_path / "bad.json"
+    path.write_text(f'{{"p": {p}, "rows": [[{entry}, 0, 0], [0, 1, 0], '
+                    f'[0, 0, 1]]}}')
+    files = [str(path)] if side == "x" else [s4_files[0], str(path)]
+    rc = main(["analyze", *files])
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == ""
+    assert err.startswith("input error: ")
 
 
 def test_analyze_bad_tolerance_exit_2(s4_files, capsys):
@@ -335,6 +365,13 @@ def _padded_hildebrand(p):
     return x, u
 
 
+def _named_pair(pair):
+    if pair == "s4":
+        data = build_s4()
+        return data["x"], data["u"]
+    return _padded_hildebrand(8)
+
+
 def test_analyze_sweeps_supports_once_without_face_lps(tmp_path, capsys,
                                                        monkeypatch):
     calls = {"is_copositive": 0, "principal_blocks": 0}
@@ -365,19 +402,18 @@ def test_analyze_sweeps_supports_once_without_face_lps(tmp_path, capsys,
 @pytest.mark.parametrize("pair", ["s4", "hildebrand+0_3"])
 def test_analyze_coefficients_positive_and_rebuild_components(
         tmp_path, capsys, pair):
-    if pair == "s4":
-        data = build_s4()
-        x, u = data["x"], data["u"]
-    else:
-        x, u = _padded_hildebrand(8)
+    x, u = _named_pair(pair)
     main(["analyze", _write(tmp_path, "x.json", x),
           _write(tmp_path, "u.json", u), "--json"])
     report = json.loads(capsys.readouterr().out)
     vertices = np.asarray(report["zero_structure"]["vertices"])
+    supports = report["zero_structure"]["supports"]
     dec = report["decomposition"]
     assert dec["coefficients"]
-    for coeff, comp in zip(dec["coefficients"], dec["components"]):
+    for coeff, block, ps in zip(dec["coefficients"], dec["restricted"],
+                                supports, strict=True):
         assert coeff and all(w > 0.0 for w in coeff.values())
+        comp = complement.embed(block, [k - 1 for k in ps], len(x))
         rebuilt = np.zeros((len(x), len(x)))
         for combo, w in coeff.items():
             g = vertices[[int(j) - 1 for j in combo.split("+")]].sum(axis=0)
@@ -444,7 +480,6 @@ def test_analyze_zero_block_component_report(tmp_path, capsys):
     assert rc == 1 and err == ""
     report = json.loads(out)
     assert report["digest"] == cli._digest(x, u)
-    zero3 = [[0.0] * 3] * 3
     r2 = np.sqrt(2.0)
     _close_report({k: v for k, v in report.items() if k != "digest"}, {
         "schema": SCHEMA, "version": "1.0.0",
@@ -458,11 +493,8 @@ def test_analyze_zero_block_component_report(tmp_path, capsys):
             "supports": [[2, 3], [1, 2]], "basis": [[1], [2]],
             "overlapping_blocks": False},
         "decomposition": {
-            "components": [zero3, [[1.0, 1.0, 0.0], [1.0, 1.0, 0.0],
-                                   [0.0, 0.0, 0.0]]],
             "restricted": [[[0.0, 0.0], [0.0, 0.0]], [[1.0, 1.0], [1.0, 1.0]]],
-            "coefficients": [{}, {"2": 4.0}], "residual": 0.0,
-            "unique": True},
+            "coefficients": [{}, {"2": 4.0}], "residual": 0.0},
         "assumptions": {
             "j": {"status": "FAIL", "certificate": {
                 "blocks": [{"block": 1, "gamma": 1e-9, "range_ok": False,
@@ -483,15 +515,52 @@ def test_analyze_zero_block_component_report(tmp_path, capsys):
                 {"block": 2, "x": ["PSD_BOUNDARY", 0.0],
                  "w": ["PSD_BOUNDARY", 0.0], "sum": ["PSD_INTERIOR", 2.0]}]}},
         },
-        "system": {"p": 3, "supports": [[2, 3], [1, 2]], "p_star": 6,
-                   "block_dims": [3, 3], "m": 6,
-                   "anchor": [1.0, -r2, 2 * r2, 1.0, -r2, 1.0,
-                              0.0, 0.0, 0.0, 1.0, r2, 1.0]},
         "rank_certificate": {"m_expected": 6, "rank_computed": 5,
                              "sigma_min_kept": 2.0, "sigma_max_dropped": 0.0,
                              "sigma_ratio": 0.0, "full_rank": False},
         "verdict": "RANK_DEFICIENT",
     })
+    # the anchor the report no longer states: svec X, then svec W0(s)
+    _close_report(_anchor_from_report(report).tolist(), [
+        1.0, -r2, 2 * r2, 1.0, -r2, 1.0, 0.0, 0.0, 0.0, 1.0, r2, 1.0])
+
+
+def _anchor_from_report(report):
+    """z0 = (svec X, svec W0(1), ..., svec W0(n)), read from the report."""
+    x = symmat_from_json(report["inputs"]["x"])
+    blocks = report["decomposition"]["restricted"]
+    return np.concatenate([svec(x)] + [svec(np.asarray(w)) for w in blocks])
+
+
+@pytest.mark.parametrize("pair", ["s4", "hildebrand+0_3"])
+def test_analyze_report_states_each_fact_once(tmp_path, capsys, pair):
+    # the report is self-sufficient: the defining system, its anchor and
+    # the zero-padded components follow from the sections it keeps
+    x, u = _named_pair(pair)
+    main(["analyze", _write(tmp_path, "x.json", x),
+          _write(tmp_path, "u.json", u), "--json"])
+    report = json.loads(capsys.readouterr().out)
+    assert report["schema"] == SCHEMA == "copcomp/2"
+    assert "system" not in report
+    assert set(report["decomposition"]) == {"restricted", "coefficients",
+                                            "residual"}
+    assert not hasattr(DefiningSystem, "to_json")
+    zsj, dec = report["zero_structure"], report["decomposition"]
+    supports = [tuple(k - 1 for k in ps) for ps in zsj["supports"]]
+    system = DefiningSystem(p=zsj["p"], supports=supports)
+    tol = Tolerances(**report["tolerances"])
+    cert = rank_certificate(system, _anchor_from_report(report), tol)
+    assert cert.to_json() == report["rank_certificate"]
+    # each component is restricted[s] on P*(s) x P*(s) and 0 elsewhere
+    x_in = symmat_from_json(report["inputs"]["x"])
+    dd = complement.decompose_dual(symmat_from_json(report["inputs"]["u"]),
+                                   zerostruct.compute_zero_structure(x_in, tol),
+                                   tol)
+    for comp, w, ps in zip(dd.components, dec["restricted"], supports,
+                           strict=True):
+        assert np.array_equal(complement.embed(w, ps, zsj["p"]), comp)
+    a = report["assumptions"]
+    assert (a["jj"]["status"] == "PASS") == a["cond_i"]["certificate"]["unique"]
 
 
 _IMPORT_PATH_SCRIPT = """

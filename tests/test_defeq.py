@@ -8,7 +8,6 @@ from copcomp.cones import cp_membership, doubly_nonnegative
 from copcomp.defeq import (
     NO_CONVERGENCE,
     NOT_APPLICABLE,
-    DefiningSystem,
     build_system,
     check_p23101,
     express_in_pair_basis,
@@ -462,12 +461,6 @@ def test_reconstruct_refuses_an_extra_w_block():
     _, ws = sys.split(sys.anchor)
     with pytest.raises(ValueError):
         reconstruct_U(sys, ws + [np.eye(2)])
-
-
-def test_to_json_without_anchor():
-    obj = DefiningSystem(3, [(0, 1), (1, 2)]).to_json()
-    assert obj["anchor"] is None
-    assert obj["supports"] == [[1, 2], [2, 3]] and obj["m"] == 6
 
 
 def test_check_p23101_constructed_pairs():

@@ -35,6 +35,17 @@ def test_scenario_all_expectations_pass(name):
     assert not failures, failures
 
 
+def test_h_at_the_anchor_is_psd_of_rank_two_so_not_extreme():
+    # H(theta) is extreme only for angles summing to less than pi
+    # (Hildebrand, LAA 437, 2012); at theta* = (pi/5,) * 5 it is aa' + bb'
+    x = extremal5_matrix(THETA_STAR)
+    assert np.allclose(np.linalg.eigvalsh(x), [0.0, 0.0, 0.0, 2.5, 2.5],
+                       rtol=0.0, atol=1e-12)
+    assert np.linalg.matrix_rank(x) == 2
+    assert "PSD rank 2" in SCENARIOS["hildebrand"].description
+    assert "extremal" not in SCENARIOS["hildebrand"].description
+
+
 def test_unknown_scenario():
     with pytest.raises(KeyError):
         run_scenario("no-such-scenario", TOL)

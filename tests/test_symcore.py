@@ -279,6 +279,24 @@ def test_json_roundtrip(tmp_path):
         symmat_from_json({"p": 2, "rows": [[1.0, 0.0]]})
 
 
+@pytest.mark.parametrize("p, entry", [
+    (float("inf"), 1.0), ("2", 1.0), (True, 1.0), (2.5, 1.0), (2.0, 1.0),
+    (2, {"a": 1}), (2, "1.5"), (2, True), (2, None), (2, [1.0]), (2, 10 ** 400),
+], ids=["p-inf", "p-string", "p-bool", "p-fraction", "p-float", "entry-object",
+        "entry-string", "entry-bool", "entry-null", "entry-list",
+        "entry-huge-integer"])
+def test_symmat_from_json_requires_an_integer_p_and_number_entries(p, entry):
+    with pytest.raises(SymMatError):
+        symmat_from_json({"p": p, "rows": [[entry, 0.0], [0.0, 1.0]]})
+
+
+def test_symmat_from_json_takes_integer_entries_and_refuses_ragged_rows():
+    assert symmat_from_json({"p": 2, "rows": [[1, 0], [0, 2]]}).tolist() == [
+        [1.0, 0.0], [0.0, 2.0]]
+    with pytest.raises(SymMatError):
+        symmat_from_json({"p": 2, "rows": [[1.0, 0.0], [0.0]]})
+
+
 @pytest.mark.filterwarnings("error")
 def test_symmat_from_json_rejects_entries_that_overflow_when_symmetrized():
     rows = [[1e308, -1.0], [-1.0, 1.0]]
