@@ -31,9 +31,7 @@ from .symcore import (
 )
 from .cones import (
     CopVerdict,
-    CpCertificate,
     OrderLimitError,
-    cp_membership,
     doubly_nonnegative,
     is_copositive,
     simplex_min_oracle,
@@ -54,10 +52,12 @@ from .complement import (
     UNKNOWN,
     AssumptionReport,
     ComplementError,
+    CpCertificate,
     DualDecomposition,
     Verdict,
     align_factorizations,
     check_assumptions,
+    cp_membership,
     decompose_dual,
     embed,
     positive_factorization,

@@ -1,7 +1,9 @@
 """Analysis of a complementary pair (X0, U0).
 
-Restriction/embedding between full and block coordinates, the dual
-decomposition of U0 over the zero structure of X0, the three
+Restriction/embedding between full and block coordinates, the one
+completely-positive test (a nonnegative least-squares fit over subset
+sums of generators, shared by the dual decomposition of U0 over the zero
+structure of X0 and by the backward path check), the three
 non-degeneracy assumption checkers, the derived conditions i)-iii),
 positive factorization of the restricted blocks, and factorization
 alignment by orthogonal transforms.
@@ -14,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cones import unit_scale
+from .cones import doubly_nonnegative, unit_scale
 from .symcore import (
     PSD_INTERIOR,
     NOT_PSD,
@@ -167,7 +169,11 @@ def face_nnls(vectors, groups, target):
     ||fit - target||_F, the norm of the svec fit (an isometry).
     """
     target = np.asarray(target, dtype=float)
-    vectors = np.asarray(vectors, dtype=float).reshape(-1, len(target))
+    vectors = np.asarray(vectors, dtype=float)
+    if vectors.size and vectors.shape[-1] != len(target):
+        raise ValueError(f"vectors of length {vectors.shape[-1]} do not match "
+                         f"a target of order {len(target)}")
+    vectors = vectors.reshape(-1, len(target))
     zero, pos = target == 0.0, vectors > 0.0
     groups = [[j for j in sorted(g) if not zero[np.ix_(pos[j], pos[j])].any()]
               for g in groups]
@@ -188,6 +194,34 @@ def face_nnls(vectors, groups, target):
         components[s] += weight * np.outer(g, g)
         coefficients[s][combo] = float(weight)
     return components, coefficients, residual
+
+
+@dataclass
+class CpCertificate:
+    member: bool  # face fit within zero_tol, or DNN at order <= 4
+    residual: float  # of the face fit
+    doubly_nonnegative: bool
+
+
+def cp_membership(u: np.ndarray, generators, tol: Tolerances = Tolerances()) -> CpCertificate:
+    """The package's completely-positive test of U on the face that a
+    finite nonnegative generator set spans.
+
+    U is a member when the fit of :func:`face_nnls` over the generators'
+    subset sums, the family :func:`decompose_dual` fits, leaves a residual
+    <= zero_tol, or when U has order <= 4 and is doubly nonnegative: there
+    DNN equals CP (Maxfield & Minc, 1962).  The doubly-nonnegative test is
+    reported alongside.
+    """
+    u = symmetrize(u)
+    gens = np.asarray(generators, dtype=float)
+    if not gens.size:
+        raise ValueError("generator set must be nonempty")
+    if np.min(gens) < -tol.zero_tol:
+        raise ValueError("generators must be entrywise nonnegative")
+    _, _, residual = face_nnls(gens, [range(len(gens))], u)
+    dnn = doubly_nonnegative(u, tol)
+    return CpCertificate(residual <= tol.zero_tol or (len(u) <= 4 and dnn), residual, dnn)
 
 
 def _basis_pair_rank(zs: ZeroStructure, tol: Tolerances) -> tuple[int, int]:

@@ -1,9 +1,10 @@
-"""Membership tests for the copositive and completely positive cones.
+"""Membership tests for the copositive cone, and the doubly-nonnegative
+necessary test for the completely positive one.
 
 The copositivity test is exact at desk scale: it enumerates KKT supports
 of the quadratic t' X t over the standard simplex.  A barycentric grid
-oracle provides an independent cross-check, and CP membership is decided
-relative to a supplied finite generator set by nonnegative least squares.
+oracle provides an independent cross-check.  CP membership relative to a
+finite generator set is fitted in :mod:`complement`.
 """
 
 from __future__ import annotations
@@ -14,8 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .symcore import (SymMatError, Tolerances, nnls, outer_columns,
-                      psd_status, smat, svec, symmetrize)
+from .symcore import SymMatError, Tolerances, psd_status, symmetrize
 
 EXACT_COPOSITIVITY_LIMIT = 12
 FACE_CHUNK = 128
@@ -45,20 +45,6 @@ class CopVerdict:
         if self.witness is not None:
             out["witness"] = self.witness.tolist()
         return out
-
-
-@dataclass
-class CpCertificate:
-    member: bool  # U lies in the cone of the generators' outer products
-    generators: list = field(default_factory=list)
-    weights: np.ndarray | None = None  # None when not a member
-    residual: float = 0.0
-    doubly_nonnegative: bool | None = None
-
-    def reconstruct(self, p: int) -> np.ndarray:
-        if self.weights is None:
-            return np.zeros((p, p))
-        return smat(outer_columns(self.generators) @ self.weights, p)
 
 
 def zero_bound(tol: Tolerances) -> float:
@@ -241,36 +227,9 @@ def simplex_min_oracle(x: np.ndarray, grid_depth: int) -> tuple[float, np.ndarra
 
 def doubly_nonnegative(u: np.ndarray, tol: Tolerances) -> bool:
     """Necessary CP test: entrywise nonnegative and PSD (exact CP for p <= 4),
-    min(U) and lambda_min(U) gated by zero_tol and psd_tol times
-    max(1, max|U|), as in :func:`complement.positive_factorization`."""
+    min(U) and lambda_min(U) gated by zero_tol and psd_tol times max|U|, so
+    both gates scale with U."""
     u = symmetrize(u)
-    scale = max(1.0, np.max(np.abs(u), initial=0.0))
+    scale = np.max(np.abs(u), initial=0.0)
     return bool(np.min(u, initial=0.0) >= -tol.zero_tol * scale
                 and psd_status(u, tol)[1] >= -tol.psd_tol * scale)
-
-
-def cp_membership(u: np.ndarray, generators, tol: Tolerances = Tolerances()) -> CpCertificate:
-    """CP membership relative to a finite nonnegative generator set.
-
-    Solves min ||sum_i a_i g_i g_i' - U||_F over a >= 0 (the Lawson-Hanson
-    active set of :func:`symcore.nnls`) on svec coordinates of U / 2^e
-    (:func:`unit_scale`), so no norm in it overflows, and maps the weights
-    and residual back exactly; certificate when the residual is <= zero_tol.
-    The doubly-nonnegative necessary test is reported alongside.
-    """
-    u = symmetrize(u)
-    p = u.shape[0]
-    gens = [np.asarray(g, dtype=float) for g in generators]
-    if not gens:
-        raise ValueError("generator set must be nonempty")
-    for g in gens:
-        if g.shape != (p,):
-            raise ValueError(f"generator dimension {g.shape} does not match p={p}")
-        if np.min(g) < -tol.zero_tol:
-            raise ValueError("generators must be entrywise nonnegative")
-    dnn = doubly_nonnegative(u, tol)
-    scaled, e = unit_scale(u)
-    w, resid = nnls(outer_columns(gens), svec(scaled))
-    w, resid = np.ldexp(w, e), float(np.ldexp(resid, e))
-    member = resid <= tol.zero_tol
-    return CpCertificate(member, gens, w if member else None, resid, dnn)

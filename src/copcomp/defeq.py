@@ -13,8 +13,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cones import cp_membership, is_copositive
-from .complement import FAIL, DualDecomposition, embed, face_nnls, restrict
+from .cones import is_copositive
+from .complement import (FAIL, DualDecomposition, cp_membership, embed, face_nnls,
+                         restrict)
 from .symcore import (
     NOT_PSD,
     PSD_INTERIOR,
@@ -78,7 +79,11 @@ class DefiningSystem:
                 for xi, sl, ps in zip(self.x_index, self.w_slice, self.supports)]
 
     def pack(self, x: np.ndarray, ws: list) -> np.ndarray:
-        parts = [svec(symmetrize(x))]
+        x = symmetrize(x)
+        if x.shape[0] != self.p:
+            raise ValueError(f"X of order {x.shape[0]} does not match the layout's "
+                             f"order {self.p}")
+        parts = [svec(x)]
         for w, ps in zip(ws, self.supports, strict=True):
             w = symmetrize(w)
             if w.shape[0] != len(ps):
@@ -243,8 +248,8 @@ def verify_backward(x_path: list, w_paths: list, zs: ZeroStructure,
     """Check the backward conclusions along paths satisfying the equations.
 
     Per path point: copositivity of X(eps), CP membership of each
-    W(s, eps) over the block generators (doubly-nonnegative for small
-    blocks), and complementarity of the reconstructed pair.
+    W(s, eps) over the block generators (:func:`complement.cp_membership`),
+    and complementarity of the reconstructed pair.
     """
     sys = build_system(zs, dd)
     reports = []
@@ -259,14 +264,11 @@ def verify_backward(x_path: list, w_paths: list, zs: ZeroStructure,
         w_verdicts = []
         for s, w in enumerate(ws):
             cert = cp_membership(w, zs.block_vectors(s), tol)
-            dnn = cert.doubly_nonnegative
-            # doubly nonnegative is completely positive for order <= 4
-            in_cp = cert.member or (len(sys.supports[s]) <= 4 and dnn)
             w_verdicts.append({
                 "block": s + 1,
-                "in_cp": in_cp,
+                "in_cp": cert.member,
                 "nnls_residual": cert.residual,
-                "doubly_nonnegative": dnn,
+                "doubly_nonnegative": cert.doubly_nonnegative,
             })
         comp = abs(float(np.tensordot(x_eps, u_eps)))
         reports.append({

@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from copcomp.complement import FAIL, PASS, check_assumptions, decompose_dual
-from copcomp.cones import cp_membership, doubly_nonnegative, is_copositive
+from copcomp.complement import (FAIL, PASS, check_assumptions, cp_membership,
+                                decompose_dual)
+from copcomp.cones import doubly_nonnegative, is_copositive
 from copcomp.defeq import (
     NO_CONVERGENCE,
     build_system,

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 
@@ -5,11 +6,11 @@ import numpy as np
 import pytest
 
 from copcomp.cli import main
+from copcomp.complement import cp_membership
 from copcomp.cones import (
     EXACT_COPOSITIVITY_LIMIT,
     OrderLimitError,
     _simplex_project,
-    cp_membership,
     doubly_nonnegative,
     is_copositive,
     simplex_min_oracle,
@@ -175,10 +176,10 @@ def test_doubly_nonnegative():
     assert not doubly_nonnegative(np.array([[1.0, 2.0], [2.0, 1.0]]), TOL)
 
 
-@pytest.mark.parametrize("c", [1.0, 1e4, 1e8, 1e12, 1e300])
+@pytest.mark.parametrize("c", [1e-300, 1e-12, 1e-6, 1.0, 1e4, 1e8, 1e12, 1e300])
 def test_doubly_nonnegative_is_scale_invariant(c):
-    """Both gates are relative to max(1, max|U|): roundoff in lambda_min of
-    a large U keeps it DNN, and an entry at -1e-3 max|U| never does."""
+    """Both gates are relative to max|U|: roundoff in lambda_min of a large
+    U keeps it DNN, and an entry at -1e-3 max|U| never is, however small U."""
     g0, g1 = np.array([1.0, 1.0, 0.0]), np.array([0.0, 1.0, 1.0])
     u = c * (2.0 * np.outer(g0, g0) + 0.5 * np.outer(g1, g1))
     assert doubly_nonnegative(u, TOL)
@@ -193,15 +194,22 @@ def test_cp_membership_member():
     cert = cp_membership(u, gens, TOL)
     assert cert.member
     assert cert.residual <= 1e-12
-    assert np.allclose(cert.reconstruct(3), u, atol=1e-10)
+    assert [f.name for f in dataclasses.fields(cert)] == [
+        "member", "residual", "doubly_nonnegative"]
 
 
 def test_cp_membership_rejects_outside_span():
-    gens = [np.array([1.0, 0.0])]
-    u = np.eye(2)
-    cert = cp_membership(u, gens, TOL)
-    assert not cert.member
-    assert cert.residual > 0.5
+    # order 5 is past the DNN rule, so only the fit decides
+    cert = cp_membership(np.eye(5), [np.eye(5)[0]], TOL)
+    assert not cert.member and cert.doubly_nonnegative
+    assert cert.residual == pytest.approx(2.0)
+
+
+def test_cp_membership_takes_a_dnn_u_of_order_at_most_four():
+    # DNN equals CP at order <= 4, whatever the generators span
+    cert = cp_membership(np.eye(2), [np.eye(2)[0]], TOL)
+    assert cert.member and cert.doubly_nonnegative
+    assert cert.residual == pytest.approx(1.0)
 
 
 def test_cp_membership_fits_a_huge_u_without_overflow():
@@ -209,9 +217,7 @@ def test_cp_membership_fits_a_huge_u_without_overflow():
     gens = [np.array([1.0, 1.0, 0.0]), np.array([0.0, 1.0, 1.0])]
     cert = cp_membership(1e300 * np.outer(gens[0], gens[0]), gens, TOL)
     assert cert.member
-    assert np.isfinite(cert.residual)
-    assert np.isclose(cert.weights[0], 1e300, rtol=1e-12)
-    assert cert.weights[1] == 0.0
+    assert np.isfinite(cert.residual) and cert.residual <= TOL.zero_tol
 
 
 def test_cp_membership_validates_generators():

@@ -1,10 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
 
-import copcomp.cones as cones
+import copcomp.complement as complement
 import copcomp.defeq as defeq
-from copcomp.complement import decompose_dual, restrict
-from copcomp.cones import cp_membership, doubly_nonnegative
+from copcomp.complement import decompose_dual, face_nnls, restrict
+from copcomp.cones import doubly_nonnegative
 from copcomp.defeq import (
     NO_CONVERGENCE,
     NOT_APPLICABLE,
@@ -379,6 +381,45 @@ def test_verify_backward_constant_path():
         assert all(w["in_cp"] for w in r["w_blocks"])
 
 
+@pytest.mark.parametrize("p", [5, 8])
+def test_verify_backward_takes_every_subset_sum_anchor(p):
+    # U = g g' for each of the 31 nonempty subset sums g of H(theta*)'s
+    # zeros, in H(theta*) and in H(theta*) + 0_3: decompose_dual fits U
+    # over the subset sums, and the backward check reads the same fit
+    x = np.zeros((p, p))
+    x[:5, :5] = build_extremal5()["x"]
+    zs = compute_zero_structure(x, TOL)
+    h_zeros = [j for j, v in enumerate(zs.vertices) if np.count_nonzero(v[:5]) > 1]
+    assert len(h_zeros) == 5
+    in_cp = []
+    for r in range(1, 6):
+        for combo in itertools.combinations(h_zeros, r):
+            g = np.sum([zs.vertices[j] for j in combo], axis=0)
+            dd = decompose_dual(np.outer(g, g), zs, TOL)
+            [rep] = verify_backward([x], [dd.restricted], zs, dd, TOL)
+            in_cp.append(all(w["in_cp"] for w in rep["w_blocks"]))
+    assert len(in_cp) == 31 and all(in_cp)
+
+
+@pytest.mark.parametrize("n", [2, 3, 6])
+def test_verifiers_refuse_a_path_point_of_the_wrong_order(n):
+    # pp4z-j has p = 4; a point of another order is refused with both orders
+    # named, not misread by a reshape that happens to divide
+    data, zs, dd, sys = _anchor("pp4z-j")
+    _, ws0 = sys.split(sys.anchor)
+    with pytest.raises(ValueError, match=f"{n}.*4|4.*{n}"):
+        verify_forward([np.eye(n)], [np.zeros((n, n))], zs, dd, TOL)
+    with pytest.raises(ValueError, match=f"{n}.*4|4.*{n}"):
+        verify_backward([np.eye(n)], [ws0], zs, dd, TOL)
+
+
+def test_pack_refuses_an_x_of_the_wrong_order():
+    data, zs, dd, sys = _anchor("s4")
+    _, ws = sys.split(sys.anchor)
+    with pytest.raises(ValueError, match="order 4.*order 3"):
+        sys.pack(np.eye(4), ws)
+
+
 def test_verify_backward_flags_non_copositive_x():
     for path_fn, name in ((pp4z_j_path, "pp4z-j"), (pp4z_jjj_path, "pp4z-jjj")):
         data, zs, dd, sys = _anchor(name)
@@ -389,14 +430,12 @@ def test_verify_backward_flags_non_copositive_x():
 
 
 def _w_block_reference(w, gens, order, tol):
-    # reference: CP membership, then the doubly-nonnegative fallback for
-    # small blocks, then the doubly-nonnegative test again for the record
-    cert = cp_membership(w, gens, tol)
-    in_cp = bool(cert.member)
-    if not in_cp and order <= 4:
-        in_cp = doubly_nonnegative(w, tol)
-    return {"in_cp": in_cp, "nnls_residual": cert.residual,
-            "doubly_nonnegative": doubly_nonnegative(w, tol)}
+    # reference: the face fit, the DNN rule for small blocks, and the
+    # doubly-nonnegative test again for the record
+    _, _, fit = face_nnls(gens, [range(len(gens))], w)
+    dnn = doubly_nonnegative(w, tol)
+    return {"in_cp": fit <= tol.zero_tol or (order <= 4 and dnn),
+            "nnls_residual": fit, "doubly_nonnegative": dnn}
 
 
 def test_verify_backward_tests_each_block_doubly_nonnegative_once(monkeypatch):
@@ -420,7 +459,7 @@ def test_verify_backward_tests_each_block_doubly_nonnegative_once(monkeypatch):
         calls.append(1)
         return doubly_nonnegative(u, tol)
 
-    monkeypatch.setattr(cones, "doubly_nonnegative", counted)
+    monkeypatch.setattr(complement, "doubly_nonnegative", counted)
     got = [r["w_blocks"] for xs, wss, zs, dd in points
            for r in verify_backward(xs, wss, zs, dd, TOL)]
     assert got == expected

@@ -323,15 +323,16 @@ def test_symmetrize_rejects_nonsquare():
 
 
 def test_one_door_to_each_numpy_solver():
-    # the bench tracer and the tests wrap complement.nnls/linprog; the CP
-    # membership test fits through the same function.  Both are in-repo:
-    # nnls returns (x, residual) as scipy's did, linprog the optimal x
-    # itself rather than scipy's OptimizeResult.
+    # the bench tracer and the tests wrap complement.nnls/linprog; every
+    # CP fit, the dual decomposition's and the backward check's, goes
+    # through complement.face_nnls, and cones fits nothing.  Both are
+    # in-repo: nnls returns (x, residual) as scipy's did, linprog the
+    # optimal x itself rather than scipy's OptimizeResult.
     import copcomp.complement as complement
     import copcomp.cones as cones
     import copcomp.symcore as symcore
 
-    assert cones.nnls is complement.nnls is symcore.nnls
+    assert complement.nnls is symcore.nnls and not hasattr(cones, "nnls")
     assert complement.linprog is symcore.linprog
     x, rnorm = symcore.nnls([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [2.0, 1.0, 1.0])
     assert x.tolist() == pytest.approx([1.5, 1.0], abs=1e-15)
