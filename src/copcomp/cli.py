@@ -103,10 +103,14 @@ def _stages(x, u, verdict, tol: Tolerances) -> dict:
     return out
 
 
+def _print_json(obj) -> None:
+    """``obj`` as one compact line of JSON with sorted keys."""
+    print(json.dumps(obj, sort_keys=True, separators=(",", ":")))
+
+
 def _emit(report: dict, args) -> None:
     if args.json:
-        json.dump(report, sys.stdout, indent=2, sort_keys=True)
-        print()
+        _print_json(report)
         return
     print(f"copcomp {report['version']} (schema {report['schema']}, "
           f"digest {report['digest']})")
@@ -153,9 +157,7 @@ def cmd_scenario(args, tol: Tolerances) -> int:
         print(f"scenario error: {exc}", file=sys.stderr)
         return 1
     if args.json:
-        json.dump({"schema": SCHEMA, "scenario": args.name,
-                   "checks": records}, sys.stdout, indent=2, sort_keys=True)
-        print()
+        _print_json({"schema": SCHEMA, "scenario": args.name, "checks": records})
     else:
         for rec in records:
             mark = "PASS" if rec["passed"] else "FAIL"

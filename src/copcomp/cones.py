@@ -32,6 +32,7 @@ class CopVerdict:
     argmin: np.ndarray
     # simplex vector with t'Xt below the member floor; None for a member
     witness: np.ndarray | None = None
+    # supports decided, not faces solved: 2^p - 1, or 0 on a negative diagonal
     supports_checked: int = 0
     zeros: list = field(default_factory=list)  # candidate zero vertices
 
@@ -67,63 +68,31 @@ def principal_blocks(x: np.ndarray, size: int):
     return supports, x[supports[:, :, None], supports[:, None, :]]
 
 
-def is_copositive(x: np.ndarray, tol: Tolerances = Tolerances()) -> CopVerdict:
-    """Exact combinatorial copositivity decision for small orders.
-
-    Every test below reads X / 2^e of :func:`unit_scale`, so 2^k X gets
-    the verdict, ``argmin`` and ``zeros`` of X and 2^k times its
-    ``min_value``, the one output mapped back to the units of X.
-    Minimizes t'Xt over the simplex by enumerating KKT supports; member
-    iff the minimum is >= -zero_tol.  A diagonal entry under that floor
-    short circuits with a coordinate-vector witness.
-
-    A face I is solved only when its KKT system 2 X_I t = lam * 1,
-    sum(t) = 1 has a unique solution: its bordered matrix has full
-    numerical rank (smallest singular value above lstsq's cutoff
-    eps * (k + 1) * sigma_max, up to FACE_CHUNK faces in one batched SVD),
-    and the solution is read from the SVD by plain division.  A solution
-    that is nonnegative within zero_tol is a candidate of value t'Xt.  A
-    rank-deficient face needs no solve: lam/2 = t'X_I t is the same at
-    every KKT point, and a feasible one can be moved along the kernel to a
-    vertex of the feasible polytope, which lies on a smaller face.
-    Repeating the step ends on a face whose KKT system has a single,
-    strictly positive solution, so that face records the same value and no
-    minimum is lost.
-
-    A solved face's t goes to ``zeros`` when it is strictly positive (above
-    zero_tol), |t'Xt| and -min(Xt) are at most zero_bound(tol), and X_I has
-    exactly one eigenvalue within delta = psd_tol * max(1, sigma_max) of 0,
-    the rule of ``null_eigenvalues``, sigma_max, sigma_min the extreme
-    singular values of the symmetric [[X_I, 1/2], [1/2', 0]].  The Rayleigh
-    quotient t'X_I t / t't <= delta shows one; sigma_min > delta shows there
-    is no second, as the eigenvalues of X_I interlace those of that matrix,
-    whose moduli are its singular values.  With a second, t would be an
-    inner point of an edge of the zero set.  e_k goes to ``zeros`` by the
-    same zero and sign rules, with |x_kk| <= psd_tol.
-
-    ``argmin`` is the first minimizer in support order (by size, then
-    lexicographic).  When minimizers tie, rounding can decide which one
-    is reported; ``min_value`` is unaffected.
-    """
-    x = symmetrize(x)
+def _components(x: np.ndarray) -> list[np.ndarray]:
+    """Index sets of the connected components of the graph with an edge i-j
+    wherever x_ij != 0.0, each ascending, in order of their least index.
+    Squaring the reach matrix doubles the path length it covers."""
     p = x.shape[0]
-    if p > EXACT_COPOSITIVITY_LIMIT:
-        raise OrderLimitError(
-            f"exact copositivity limited to p <= {EXACT_COPOSITIVITY_LIMIT} "
-            f"(got {p}); use simplex_min_oracle for an upper bound"
-        )
-    if p == 0:
-        raise SymMatError("copositivity needs a matrix of order p >= 1, got order 0")
-    x, e = unit_scale(x)
+    reach = (x != 0.0) | np.eye(p, dtype=bool)
+    for _ in range((p - 1).bit_length()):
+        reach = reach @ reach
+    comps, seen = [], np.zeros(p, dtype=bool)
+    for i in range(p):
+        if not seen[i]:
+            comps.append(np.flatnonzero(reach[i]))
+            seen |= reach[i]
+    return comps
+
+
+def _sweep(x: np.ndarray, tol: Tolerances) -> tuple[float, np.ndarray, list]:
+    """(min t'Xt over the simplex, the first minimizer in support order,
+    the zeros), solving every face of X; see :func:`is_copositive`."""
+    p = x.shape[0]
     diag = np.diag(x)
     k = int(np.argmin(diag))
     best_val = float(diag[k])
     best_t = np.zeros(p)
     best_t[k] = 1.0
-    if best_val < -tol.zero_tol:
-        return CopVerdict(member=False, min_value=math.ldexp(best_val, e),
-                          argmin=best_t, witness=best_t, supports_checked=0)
-
     bound = zero_bound(tol)
     kkt = np.min(x, axis=0) >= -bound
     zeros = list(np.eye(p)[(np.abs(diag) <= min(tol.psd_tol, bound)) & kkt])
@@ -157,6 +126,98 @@ def is_copositive(x: np.ndarray, tol: Tolerances = Tolerances()) -> CopVerdict:
             m = int(np.argmin(vals))
             if vals[m] < best_val:
                 best_val, best_t = float(vals[m]), rows[m].copy()
+    return best_val, best_t, zeros
+
+
+def is_copositive(x: np.ndarray, tol: Tolerances = Tolerances()) -> CopVerdict:
+    """Exact combinatorial copositivity decision for small orders.
+
+    Every test below reads X / 2^e of :func:`unit_scale`, so 2^k X gets
+    the verdict, ``argmin`` and ``zeros`` of X and 2^k times its
+    ``min_value``, the one output mapped back to the units of X.
+    Minimizes t'Xt over the simplex by enumerating KKT supports; member
+    iff the minimum is >= -zero_tol.  A diagonal entry under that floor
+    short circuits with a coordinate-vector witness.
+
+    X is first split into the connected components of the graph with an
+    edge i-j wherever x_ij != 0.0; the split needs no tolerance, so it
+    commutes with index permutation and positive scaling.  A block-diagonal
+    X is copositive iff every block is (Hiriart-Urruty & Seeger, SIAM
+    Review 52, 2010), and the faces within one component are swept as
+    below.  The components' minima m_k combine exactly: t = sum a_k t_k
+    gives t'Xt = sum a_k^2 t_k'X t_k, so the minimum is min_k m_k when
+    that is <= 0, attained at that component's minimizer, and otherwise
+    1 / sum_k (1/m_k), attained at sum_k s_k t_k with s_k proportional to
+    1/m_k.  No face is lost: a face I meeting two components has
+    X_I = X_I1 (+) X_I2, its value sum a_k^2 q_k is never below that
+    minimum, and it yields no zero, since a zero has lam = 0, so t would
+    vanish on a nonsingular part, and with both parts singular X_I has two
+    null eigenvalues.  ``supports_checked`` counts the 2^p - 1 supports
+    so decided, not the faces solved.
+
+    A face I is solved only when its KKT system 2 X_I t = lam * 1,
+    sum(t) = 1 has a unique solution: its bordered matrix has full
+    numerical rank (smallest singular value above lstsq's cutoff
+    eps * (k + 1) * sigma_max, up to FACE_CHUNK faces in one batched SVD),
+    and the solution is read from the SVD by plain division.  A solution
+    that is nonnegative within zero_tol is a candidate of value t'Xt.  A
+    rank-deficient face needs no solve: lam/2 = t'X_I t is the same at
+    every KKT point, and a feasible one can be moved along the kernel to a
+    vertex of the feasible polytope, which lies on a smaller face.
+    Repeating the step ends on a face whose KKT system has a single,
+    strictly positive solution, so that face records the same value and no
+    minimum is lost.
+
+    A solved face's t goes to ``zeros`` when it is strictly positive (above
+    zero_tol), |t'Xt| and -min(Xt) are at most zero_bound(tol), and X_I has
+    exactly one eigenvalue within delta = psd_tol * max(1, sigma_max) of 0,
+    the rule of ``null_eigenvalues``, sigma_max, sigma_min the extreme
+    singular values of the symmetric [[X_I, 1/2], [1/2', 0]].  The Rayleigh
+    quotient t'X_I t / t't <= delta shows one; sigma_min > delta shows there
+    is no second, as the eigenvalues of X_I interlace those of that matrix,
+    whose moduli are its singular values.  With a second, t would be an
+    inner point of an edge of the zero set.  e_k goes to ``zeros`` by the
+    same zero and sign rules, with |x_kk| <= psd_tol.  ``zeros`` is ordered
+    by support size, then support.
+
+    Within a component, ``argmin`` is the first minimizer in support order
+    (by size, then lexicographic); among components tied at a minimum <= 0
+    it is that of the one with the least index.  When minimizers tie,
+    rounding can decide which one is reported; ``min_value`` is unaffected.
+    """
+    x = symmetrize(x)
+    p = x.shape[0]
+    if p > EXACT_COPOSITIVITY_LIMIT:
+        raise OrderLimitError(
+            f"exact copositivity limited to p <= {EXACT_COPOSITIVITY_LIMIT} "
+            f"(got {p}); use simplex_min_oracle for an upper bound"
+        )
+    if p == 0:
+        raise SymMatError("copositivity needs a matrix of order p >= 1, got order 0")
+    x, e = unit_scale(x)
+    diag = np.diag(x)
+    k = int(np.argmin(diag))
+    if diag[k] < -tol.zero_tol:
+        t = np.zeros(p)
+        t[k] = 1.0
+        return CopVerdict(member=False, min_value=math.ldexp(float(diag[k]), e),
+                          argmin=t, witness=t, supports_checked=0)
+
+    mins, args, zeros = [], [], []
+    for c in _components(x):
+        val, t, zs = _sweep(x[np.ix_(c, c)], tol)
+        embedded = np.zeros((1 + len(zs), p))
+        embedded[:, c] = [t, *zs]
+        mins.append(val)
+        args.append(embedded[0])
+        zeros.extend(embedded[1:])
+    zeros.sort(key=lambda z: (np.count_nonzero(z), tuple(np.flatnonzero(z))))
+    i = int(np.argmin(mins))
+    if len(mins) == 1 or mins[i] <= 0.0:
+        best_val, best_t = mins[i], args[i]
+    else:
+        w = 1.0 / np.array(mins)
+        best_val, best_t = float(1.0 / w.sum()), (w / w.sum()) @ np.array(args)
     member = best_val >= -tol.zero_tol
     witness = None if member else best_t
     return CopVerdict(member=member, min_value=math.ldexp(best_val, e), argmin=best_t,

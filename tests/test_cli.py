@@ -285,6 +285,21 @@ def test_scenario_run_json(capsys):
     assert all(c["passed"] for c in report["checks"])
 
 
+@pytest.mark.parametrize("case, code, verdict", [
+    ("pair", 0, "OK"), ("x only", 0, "ZERO_STRUCTURE_ONLY"),
+    ("x not copositive", 1, "X_NOT_COPOSITIVE"), ("scenario s4", 0, None)])
+def test_json_output_is_one_line(tmp_path, s4_files, capsys, case, code, verdict):
+    bad = _write(tmp_path, "bad.json", [[1.0, -2.0], [-2.0, 1.0]])
+    argv = {"pair": ["analyze", *s4_files], "x only": ["analyze", s4_files[0]],
+            "x not copositive": ["analyze", bad],
+            "scenario s4": ["scenario", "run", "s4"]}[case]
+    assert main([*argv, "--json"]) == code
+    out = capsys.readouterr().out
+    assert out.endswith("\n") and out.count("\n") == 1
+    report = json.loads(out)
+    assert report["schema"] == SCHEMA and report.get("verdict") == verdict
+
+
 def test_scenario_unknown_exit_2(capsys, monkeypatch):
     """An unknown name is refused in main, before any scenario runs."""
     monkeypatch.setattr(cli, "run_scenario", lambda *a: pytest.fail("ran"))
@@ -394,9 +409,10 @@ def test_analyze_sweeps_supports_once_without_face_lps(tmp_path, capsys,
           _write(tmp_path, "u.json", u), "--json"])
     report = json.loads(capsys.readouterr().out)
     assert report["copositive"]["supports_checked"] == 2 ** 8 - 1
-    # one block stack per support size 2..8, and no second sweep for the
-    # zero vertices
-    assert calls == {"is_copositive": 1, "principal_blocks": 7}
+    # X = H(theta*) (+) 0_3 splits into H's component and three of order 1:
+    # one block stack per support size 2..5 of H's, and no second sweep for
+    # the zero vertices
+    assert calls == {"is_copositive": 1, "principal_blocks": 4}
 
 
 @pytest.mark.parametrize("pair", ["s4", "hildebrand+0_3"])

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from copcomp.cones import (
     EXACT_COPOSITIVITY_LIMIT,
     OrderLimitError,
     _simplex_project,
+    _sweep,
     doubly_nonnegative,
     is_copositive,
     simplex_min_oracle,
@@ -378,3 +380,61 @@ def test_member_agrees_with_kaplan_criterion_at_every_scale():
             assert is_copositive(c * x, TOL).member == want, (x, c)
             kinds.add(want)
     assert kinds == {True, False}
+
+
+def _direct_sums(n, seed):
+    """Seeded block-diagonal X of 2-3 components of order 1-4 (p <= 12),
+    each PSD, PSD plus nonnegative, indefinite with a shifted diagonal or
+    rank one, under a seeded index permutation."""
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        blocks = []
+        for kind in rng.integers(0, 4, int(rng.integers(2, 4))):
+            k = int(rng.integers(1, 5))
+            g = rng.standard_normal((k, k))
+            if kind == 0:
+                b = g @ g.T / k
+            elif kind == 1:
+                b = g @ g.T / k + rng.uniform(0.0, 1.0, (k, k))
+            elif kind == 2:
+                b = g + g.T
+                np.fill_diagonal(b, np.abs(np.diag(b)) + rng.uniform(0.0, 1.0, k))
+            else:
+                b = np.outer(g[0], g[0])
+            blocks.append(symmetrize(b))
+        p = sum(len(b) for b in blocks)
+        x, lo = np.zeros((p, p)), 0
+        for b in blocks:
+            x[lo:lo + len(b), lo:lo + len(b)] = b
+            lo += len(b)
+        perm = rng.permutation(p)
+        yield x[np.ix_(perm, perm)]
+
+
+def test_direct_sum_sweep_matches_the_whole_matrix_sweep():
+    # _sweep on the whole of X / 2^e also solves the faces that meet two
+    # components; sweeping each component on its own must give the same
+    # verdict and zeros, in the same order, and the same minimum to rounding
+    kinds = set()
+    for x in _direct_sums(120, 7003):
+        v = is_copositive(x, TOL)
+        xs, e = unit_scale(x)
+        val, _, zeros = _sweep(xs, TOL)
+        assert v.member == (val >= -TOL.zero_tol), x
+        assert v.supports_checked == 2 ** len(x) - 1
+        assert len(v.zeros) == len(zeros), x
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(v.zeros, zeros)), x
+        assert abs(v.min_value - math.ldexp(val, e)) <= math.ldexp(1e-12, e), x
+        t = v.argmin
+        assert t.min() >= 0.0 and abs(t.sum() - 1.0) <= 1e-12, x
+        assert abs(t @ xs @ t - math.ldexp(v.min_value, -e)) <= 1e-12, x
+        kinds.add((v.member, bool(v.zeros), v.min_value > 0.0))
+    assert {k[0] for k in kinds} == {k[1] for k in kinds} == {k[2] for k in kinds} == {True, False}
+
+
+def test_direct_sum_of_a_diagonal_is_exact():
+    # min of sum t_k^2 d_k over the simplex: 1 / sum(1/d_k) at t ~ 1/d
+    v = is_copositive(np.diag([1.0, 2.0, 4.0]), TOL)
+    assert v.member and v.zeros == []
+    assert v.min_value == 4.0 / 7.0
+    assert np.array_equal(v.argmin, np.array([4.0, 2.0, 1.0]) / 7.0)
