@@ -1,7 +1,8 @@
 """Command-line front end.
 
-``copcomp analyze X.json [U.json]`` runs the full pipeline on a pair of
-symmetric-matrix files; ``copcomp scenario run NAME`` replays a bundled
+``copcomp analyze X.json [U.json]`` loads a pair of symmetric-matrix
+files, runs :func:`copcomp.analysis.analyze` on it and prints its report
+as text or JSON; ``copcomp scenario run NAME`` replays a bundled
 scenario; ``copcomp scenario list`` enumerates them.  Exit codes: 0 on
 success, 1 on a structural failure (the analyze verdicts X_NOT_COPOSITIVE,
 ZERO_STRUCTURE_FAILURE, DECOMPOSITION_FAILURE, ASSUMPTIONS_FAILURE and
@@ -14,93 +15,28 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import hashlib
 import json
 import sys
 
 import numpy as np
 
-from . import __version__
-from .cones import is_copositive
-from .complement import check_assumptions, decompose_dual
-from .defeq import build_system, rank_certificate
+from .analysis import EXIT_0_VERDICTS, SCHEMA, analyze
 from .paperlab import run_scenario, scenario_names, SCENARIOS
-from .symcore import SymMatError, Tolerances, load_symmat, symmat_to_json
-from .zerostruct import compute_zero_structure
-
-SCHEMA = "copcomp/2"
-# analyze verdicts that exit 0; every other verdict exits 1
-EXIT_0_VERDICTS = ("OK", "ZERO_STRUCTURE_ONLY", "EMPTY_ZERO_SET_U_MUST_BE_ZERO")
-
-
-def _digest(*mats) -> str:
-    h = hashlib.sha256()
-    for m in mats:
-        if m is not None:
-            h.update(np.ascontiguousarray(m, dtype=float).tobytes())
-    return h.hexdigest()[:16]
+from .symcore import Tolerances, load_symmat
 
 
 def cmd_analyze(args, tol: Tolerances) -> int:
     # JSONDecodeError, SymMatError, OrderLimitError and LinAlgError are
-    # all ValueErrors
+    # all ValueErrors; analyze turns those of its later stages into verdicts
     try:
         x = load_symmat(args.x)
         u = load_symmat(args.u) if args.u else None
-        if u is not None and len(u) != len(x):
-            raise SymMatError(f"U has order {len(u)}, X has order {len(x)}")
-        verdict = is_copositive(x, tol)
+        result = analyze(x, u, tol)
     except (OSError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
-
-    report = {
-        "schema": SCHEMA,
-        "version": __version__,
-        "digest": _digest(x, u),
-        "tolerances": dataclasses.asdict(tol),
-        "inputs": {"x": symmat_to_json(x),
-                   "u": None if u is None else symmat_to_json(u)},
-        "copositive": verdict.to_json(),
-    }
-    if verdict.member:
-        report.update(_stages(x, u, verdict, tol))
-    else:
-        report["verdict"] = "X_NOT_COPOSITIVE"
-    _emit(report, args)
-    return 0 if report["verdict"] in EXIT_0_VERDICTS else 1
-
-
-def _stages(x, u, verdict, tol: Tolerances) -> dict:
-    """Report sections of the stages after the copositivity sweep.
-
-    A ValueError or RuntimeError from a stage (ZeroStructureError,
-    ComplementError, the NNLS and simplex guards) ends the run with the
-    failure verdict of that stage and its message in ``error``.
-    """
-    out = {}
-    stage = "ZERO_STRUCTURE_FAILURE"
-    try:
-        zs = compute_zero_structure(x, tol, verdict)
-        out["zero_structure"] = zs.to_json()
-        if u is None:
-            out["verdict"] = ("EMPTY_ZERO_SET_U_MUST_BE_ZERO"
-                              if not zs.vertices else "ZERO_STRUCTURE_ONLY")
-            return out
-        stage = "DECOMPOSITION_FAILURE"
-        dd = decompose_dual(u, zs, tol)
-        out["decomposition"] = dd.to_json()
-        stage = "ASSUMPTIONS_FAILURE"
-        out["assumptions"] = check_assumptions(zs, dd, tol).to_json()
-        system = build_system(zs, dd)
-        cert = rank_certificate(system, system.anchor, tol)
-    except (ValueError, RuntimeError) as exc:
-        out["verdict"] = stage
-        out["error"] = str(exc)
-        return out
-    out["rank_certificate"] = cert.to_json()
-    out["verdict"] = "OK" if cert.full_rank else "RANK_DEFICIENT"
-    return out
+    _emit(result.to_json(), args)
+    return 0 if result.verdict in EXIT_0_VERDICTS else 1
 
 
 def _print_json(obj) -> None:

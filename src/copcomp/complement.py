@@ -4,9 +4,8 @@ Restriction/embedding between full and block coordinates, the one
 completely-positive test (a nonnegative least-squares fit over subset
 sums of generators, shared by the dual decomposition of U0 over the zero
 structure of X0 and by the backward path check), the three
-non-degeneracy assumption checkers, the derived conditions i)-iii),
-positive factorization of the restricted blocks, and factorization
-alignment by orthogonal transforms.
+non-degeneracy assumption checkers, the derived conditions i)-iii), and
+positive factorization of the restricted blocks.
 """
 
 from __future__ import annotations
@@ -434,34 +433,3 @@ def check_assumptions(zs: ZeroStructure, dd: DualDecomposition,
     return AssumptionReport(j=j, jj=jj, jjj=jjj,
                             cond_i=cond_i, cond_ii=cond_ii, cond_iii=cond_iii)
 
-
-def align_factorizations(b: np.ndarray, m: np.ndarray, tol: Tolerances = Tolerances()):
-    """Orthogonal Omega with B Omega == M given B B' == M M'.
-
-    Widths are equalized by splitting the first column of the narrower
-    factor into equal-norm copies; Omega is the polar factor of B' M.
-    Returns (Omega, B_padded, M_padded) or None when the precondition
-    fails.
-    """
-    b = np.atleast_2d(np.asarray(b, dtype=float))
-    m = np.atleast_2d(np.asarray(m, dtype=float))
-    if b.shape[0] != m.shape[0]:
-        raise ValueError("factor row dimensions differ")
-    if np.linalg.norm(b @ b.T - m @ m.T) > tol.zero_tol:
-        return None
-
-    def widen(f: np.ndarray, width: int) -> np.ndarray:
-        extra = width - f.shape[1]
-        if extra <= 0:
-            return f
-        first = f[:, [0]] / np.sqrt(extra + 1)
-        return np.hstack([np.repeat(first, extra + 1, axis=1), f[:, 1:]])
-
-    width = max(b.shape[1], m.shape[1])
-    b = widen(b, width)
-    m = widen(m, width)
-    uu, _, vt = np.linalg.svd(b.T @ m)
-    omega = uu @ vt
-    if np.linalg.norm(b @ omega - m) > tol.slack:
-        return None
-    return omega, b, m

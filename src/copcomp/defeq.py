@@ -4,7 +4,8 @@ Variable layout z = (svec(X), svec(W(s)), s in S), computed once per
 system, the bi-linear residual of the per-block anticommutator equations,
 the linear reconstruction of U from the W(s), the Jacobian in closed form
 with full-row-rank certification, a local W-solver for perturbed X, and
-the forward/backward path verifiers plus executable appendix checks.
+the forward/backward path verifiers plus the executable appendix check
+that an anticommuting pair with positive definite sum has product 0.
 """
 
 from __future__ import annotations
@@ -14,14 +15,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cones import is_copositive
-from .complement import (FAIL, DualDecomposition, cp_membership, embed, face_nnls,
-                         restrict)
+from .complement import DualDecomposition, cp_membership, embed, face_nnls, restrict
 from .symcore import (
     NOT_PSD,
     PSD_INTERIOR,
     Tolerances,
     numerical_rank,
-    outer_columns,
     psd_status,
     smat,
     svec,
@@ -30,7 +29,7 @@ from .symcore import (
     sym_kron,
     symmetrize,
 )
-from .zerostruct import ZeroStructure, pair_index_set, pair_sums
+from .zerostruct import ZeroStructure
 
 
 @dataclass
@@ -300,18 +299,3 @@ def check_p23101(x: np.ndarray, u: np.ndarray, tol: Tolerances = Tolerances()):
     product_zero = bool(np.linalg.norm(u @ x) <= tol.slack)
     return {"x_psd": x_psd, "u_psd": u_psd, "product_zero": product_zero}
 
-
-def express_in_pair_basis(z_mat: np.ndarray, tau_basis: list,
-                          tol: Tolerances = Tolerances()):
-    """Least-squares coefficients of Z over the pair outer products
-    (tau(i)+tau(j))(tau(i)+tau(j))', (i, j) in V(J_b); FAIL if Z is not
-    in their span."""
-    if not tau_basis:
-        raise ValueError("pair basis must be nonempty")
-    target = svec(symmetrize(z_mat))
-    pairs = pair_index_set(range(len(tau_basis)))
-    cols = outer_columns(pair_sums(tau_basis, range(len(tau_basis))))
-    beta, _, _, _ = np.linalg.lstsq(cols, target, rcond=None)
-    if np.linalg.norm(cols @ beta - target) > tol.zero_tol:
-        return FAIL
-    return {pair: float(b) for pair, b in zip(pairs, beta)}

@@ -12,17 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .analysis import Analysis, analyze
 from .cones import is_copositive
-from .complement import (
-    FAIL,
-    PASS,
-    check_assumptions,
-    cp_membership,
-    decompose_dual,
-)
-from .defeq import build_system, rank_certificate, residual, verify_forward
+from .complement import FAIL, PASS, cp_membership
+from .defeq import residual, verify_forward
 from .symcore import Tolerances, psd_status, symmetrize
-from .zerostruct import compute_zero_structure
 
 THETA_STAR = (np.pi / 5,) * 5
 EPS_GRID = (0.2, 0.1, 0.05, 0.01)
@@ -67,12 +61,18 @@ def _match_vertex_sets(found, expected, atol: float) -> bool:
     return True
 
 
-def _pipeline(x, u, tol):
-    """X's zero structure, U's dual decomposition over it and the
-    assumption report, each computed once."""
-    zs = compute_zero_structure(x, tol)
-    dd = decompose_dual(u, zs, tol)
-    return zs, dd, check_assumptions(zs, dd, tol)
+def _analyze(x, u, tol) -> Analysis:
+    """:func:`analyze` of a scenario anchor, whose expectations read every
+    stage: an analysis that stops early raises the message of the stage
+    that stopped it, for a non-copositive X the one of
+    :func:`~copcomp.zerostruct.enumerate_zero_vertices`."""
+    a = analyze(x, u, tol)
+    if not a.copositive.member:
+        raise ValueError(f"matrix is not copositive (min {a.copositive.min_value:.3e});"
+                         " zero structure undefined")
+    if a.error is not None:
+        raise ValueError(a.error)
+    return a
 
 
 def _support_sets(zs) -> set:
@@ -101,9 +101,9 @@ def build_s4() -> dict:
 def _s4_expectations(tol: Tolerances) -> list[dict]:
     data = build_s4()
     x, u, b, c = data["x"], data["u"], data["b"], data["c"]
-    zs, dd, rep = _pipeline(x, u, tol)
-    sys = build_system(zs, dd)
-    cert = rank_certificate(sys, sys.anchor, tol)
+    anchor = _analyze(x, u, tol)
+    zs, dd, rep = anchor.zero_structure, anchor.decomposition, anchor.assumptions
+    sys, cert = anchor.system, anchor.rank
     out = [
         _check("vertices {(1/2,1/2,0),(0,1/2,1/2)}",
                _match_vertex_sets(zs.vertices,
@@ -244,7 +244,8 @@ def _extremal5_path_checks(data, tol: Tolerances) -> list[dict]:
 def _extremal5_expectations(tol: Tolerances, theta=THETA_STAR) -> list[dict]:
     data = build_extremal5(theta)
     x, u, a, b = data["x"], data["u"], data["a"], data["b"]
-    zs, _, rep = _pipeline(x, u, tol)
+    anchor = _analyze(x, u, tol)
+    zs, rep = anchor.zero_structure, anchor.assumptions
     taus_norm = [t / np.sum(t) for t in data["taus"]]
     return [
         _check("H == aa' + bb' (residual <= 1e-10)",
@@ -264,7 +265,8 @@ def _pp3z_j_expectations(tol: Tolerances) -> list[dict]:
     """The forward theorem loses its conclusion when only strict
     complementarity fails: same family, path-focused expectations."""
     data = build_extremal5()
-    zs, dd, rep = _pipeline(data["x"], data["u"], tol)
+    anchor = _analyze(data["x"], data["u"], tol)
+    zs, dd, rep = anchor.zero_structure, anchor.decomposition, anchor.assumptions
     out = [_check("anchor assumption j FAIL", rep.j.status == FAIL, rep.j.status)]
     out.extend(_extremal5_path_checks(data, tol))
     path = [extremal5_path(data["theta"], eps) for eps in EPS_PATH]
@@ -301,7 +303,8 @@ def pp3z_jjj_path(eps):
 
 def _pp3z_jjj_expectations(tol: Tolerances) -> list[dict]:
     data = build_pp3z_jjj()
-    zs, _, rep = _pipeline(data["x"], data["u"], tol)
+    anchor = _analyze(data["x"], data["u"], tol)
+    zs, rep = anchor.zero_structure, anchor.assumptions
     out = [
         _check("single vertex (1/2,1/2,0)",
                _match_vertex_sets(zs.vertices, [np.array([0.5, 0.5, 0.0])], 1e-9)),
@@ -365,7 +368,8 @@ def pp4z_j_path(eps):
 
 def _pp4z_j_expectations(tol: Tolerances) -> list[dict]:
     data = build_pp4z_j()
-    zs, _, rep = _pipeline(data["x"], data["u"], tol)
+    anchor = _analyze(data["x"], data["u"], tol)
+    zs, rep = anchor.zero_structure, anchor.assumptions
     e = np.eye(4)
     return [
         _check("vertices e2, e3, e4",
@@ -398,7 +402,8 @@ def pp4z_jjj_path(eps):
 
 def _pp4z_jjj_expectations(tol: Tolerances) -> list[dict]:
     data = build_pp4z_jjj()
-    zs, dd, rep = _pipeline(data["x"], data["u"], tol)
+    anchor = _analyze(data["x"], data["u"], tol)
+    zs, dd, rep = anchor.zero_structure, anchor.decomposition, anchor.assumptions
     e = np.eye(3)
     return [
         _check("vertices e2, e3",
@@ -432,7 +437,8 @@ def pp4z_cond_ii_path(eps):
 
 def _pp4z_cond_ii_expectations(tol: Tolerances) -> list[dict]:
     data = build_pp4z_cond_ii()
-    zs, dd, rep = _pipeline(data["x"], data["u"], tol)
+    anchor = _analyze(data["x"], data["u"], tol)
+    zs, dd, rep = anchor.zero_structure, anchor.decomposition, anchor.assumptions
     e = np.eye(3)
     out = [
         _check("vertices e2, e3",

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import copcomp.analysis as analysis
 import copcomp.cli as cli
 import copcomp.complement as complement
 import copcomp.cones as cones
@@ -131,12 +132,12 @@ def test_analyze_bad_tolerance_exit_2(s4_files, capsys):
     assert rc == 2
 
 
-def _forbid_work(monkeypatch, *names):
+def _forbid_work(monkeypatch, module, *names):
     def no_work(*args, **kwargs):
         raise AssertionError("work started on bad input")
 
     for name in names:
-        monkeypatch.setattr(cli, name, no_work)
+        monkeypatch.setattr(module, name, no_work)
 
 
 @pytest.mark.parametrize("argv", [
@@ -144,7 +145,8 @@ def _forbid_work(monkeypatch, *names):
     ["scenario", "run", "s4", "--psd-tol", "nan"],
 ], ids=["zero-tol", "psd-tol"])
 def test_bad_flag_exit_2_before_any_work(s4_files, capsys, monkeypatch, argv):
-    _forbid_work(monkeypatch, "run_scenario", "load_symmat", "is_copositive")
+    _forbid_work(monkeypatch, cli, "run_scenario", "load_symmat")
+    _forbid_work(monkeypatch, analysis, "is_copositive")
     rc = main([s4_files[0] if a == "X" else a for a in argv])
     out, err = capsys.readouterr()
     assert rc == 2 and out == ""
@@ -155,7 +157,7 @@ def test_bad_flag_exit_2_before_any_work(s4_files, capsys, monkeypatch, argv):
 def test_u_order_mismatch_exit_2_before_any_work(tmp_path, s4_files, capsys,
                                                  monkeypatch, order):
     # decompose_dual's tensordot used to raise "shape-mismatch for sum"
-    _forbid_work(monkeypatch, "is_copositive", "compute_zero_structure",
+    _forbid_work(monkeypatch, analysis, "is_copositive", "compute_zero_structure",
                  "decompose_dual")
     u = _write(tmp_path, "u.json", np.eye(order))
     rc = main(["analyze", s4_files[0], u])
@@ -169,7 +171,8 @@ def test_u_order_mismatch_exit_2_before_any_work(tmp_path, s4_files, capsys,
 def test_grid_oracle_flags_are_gone(tmp_path, capsys, monkeypatch, flags):
     # at p = 12, depth 48 is 2.8e11 grid points; the exact sweep's
     # min_value already decides copositivity
-    _forbid_work(monkeypatch, "load_symmat", "is_copositive")
+    _forbid_work(monkeypatch, cli, "load_symmat")
+    _forbid_work(monkeypatch, analysis, "is_copositive")
     x, _ = _padded_hildebrand(12)
     with pytest.raises(SystemExit) as exc:
         main(["analyze", _write(tmp_path, "x.json", x), *flags])
@@ -222,7 +225,7 @@ def test_analyze_assumptions_failure(s4_files, capsys, monkeypatch):
     def failing(*args, **kwargs):
         raise RuntimeError("simplex pivot limit reached")
 
-    monkeypatch.setattr(cli, "check_assumptions", failing)
+    monkeypatch.setattr(analysis, "check_assumptions", failing)
     rc = main(["analyze", *s4_files])
     out = capsys.readouterr().out
     assert rc == 1
@@ -398,10 +401,10 @@ def test_analyze_sweeps_supports_once_without_face_lps(tmp_path, capsys,
         return wrapped
 
     sweep = counting("is_copositive", cones.is_copositive)
-    monkeypatch.setattr(cli, "is_copositive", sweep)
+    monkeypatch.setattr(analysis, "is_copositive", sweep)
     monkeypatch.setattr(zerostruct, "is_copositive", sweep)
     blocks = counting("principal_blocks", cones.principal_blocks)
-    for module in (cli, complement, cones, zerostruct):
+    for module in (analysis, complement, cones, zerostruct):
         if hasattr(module, "principal_blocks"):
             monkeypatch.setattr(module, "principal_blocks", blocks)
     x, u = _padded_hildebrand(8)
@@ -495,7 +498,7 @@ def test_analyze_zero_block_component_report(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert rc == 1 and err == ""
     report = json.loads(out)
-    assert report["digest"] == cli._digest(x, u)
+    assert report["digest"] == analysis._digest(x, u)
     r2 = np.sqrt(2.0)
     _close_report({k: v for k, v in report.items() if k != "digest"}, {
         "schema": SCHEMA, "version": "1.0.0",

@@ -11,7 +11,6 @@ from copcomp.complement import (
     ComplementError,
     _strictness_lp,
     _subset_columns,
-    align_factorizations,
     check_assumption_j,
     check_assumptions,
     decompose_dual,
@@ -219,39 +218,6 @@ def test_positive_factorization_rejects_indefinite():
     with pytest.raises(ValueError):
         positive_factorization(np.diag([1.0, -1.0]),
                                [np.array([0.5, 0.5])], {(0,): 4.0}, TOL)
-
-
-def test_align_identity_and_permutation():
-    b = RNG.standard_normal((4, 3))
-    omega, bp, mp = align_factorizations(b, b, TOL)
-    assert np.allclose(omega, np.eye(3), atol=1e-8)
-    m = b[:, [2, 0, 1]]
-    omega, bp, mp = align_factorizations(b, m, TOL)
-    assert np.linalg.norm(bp @ omega - mp) <= 1e-8
-    assert np.allclose(np.abs(omega), np.eye(3)[[2, 0, 1]].T, atol=1e-8)
-
-
-def test_align_recovers_random_rotation():
-    for _ in range(5):
-        b = RNG.standard_normal((4, 3))
-        q, _ = np.linalg.qr(RNG.standard_normal((3, 3)))
-        omega, bp, mp = align_factorizations(b, b @ q, TOL)
-        assert np.linalg.norm(bp @ omega - mp) <= 1e-8
-        assert np.linalg.norm(omega.T @ omega - np.eye(3)) <= 1e-10
-
-
-def test_align_pads_unequal_widths():
-    b = np.array([[1.0, 1.0], [1.0, -1.0]])
-    m = np.hstack([b, np.zeros((2, 1))])  # same Gram, wider
-    out = align_factorizations(b, m, TOL)
-    assert out is not None
-    omega, bp, mp = out
-    assert bp.shape == mp.shape == (2, 3)
-    assert np.linalg.norm(bp @ omega - mp) <= 1e-8
-
-
-def test_align_rejects_different_grams():
-    assert align_factorizations(np.eye(2), 2.0 * np.eye(2), TOL) is None
 
 
 def test_derived_conditions_follow_from_j_and_jj():

@@ -12,7 +12,6 @@ from copcomp.defeq import (
     NOT_APPLICABLE,
     build_system,
     check_p23101,
-    express_in_pair_basis,
     jacobian,
     rank_certificate,
     reconstruct_U,
@@ -517,31 +516,6 @@ def test_check_p23101_not_applicable():
     # sum not interior
     assert check_p23101(np.diag([1.0, 0.0]),
                         np.diag([0.0, 0.0]), TOL) == NOT_APPLICABLE
-
-
-def test_express_in_pair_basis():
-    t1 = np.array([0.5, 0.5, 0.0])
-    t2 = np.array([0.0, 0.5, 0.5])
-    basis = [t1, t2]
-    coeff = express_in_pair_basis(4.0 * np.outer(t1, t1), basis, TOL)
-    assert np.isclose(coeff[(0, 0)], 1.0)
-    assert np.isclose(coeff[(0, 1)], 0.0, atol=1e-9)
-    z = np.outer(t1, t2) + np.outer(t2, t1)
-    coeff = express_in_pair_basis(z, basis, TOL)
-    # (t1+t2)(t1+t2)' = t1 t2' + t2 t1' + t1 t1' + t2 t2', and the
-    # self-pair generators are (2 t_i)(2 t_i)' = 4 t_i t_i'
-    assert np.isclose(coeff[(0, 1)], 1.0)
-    assert np.isclose(coeff[(0, 0)], -0.25)
-    assert np.isclose(coeff[(1, 1)], -0.25)
-
-
-def test_express_in_pair_basis_fails_off_span():
-    basis = [np.array([1.0, 0.0, 0.0])]
-    z = np.zeros((3, 3))
-    z[2, 2] = 1.0
-    assert express_in_pair_basis(z, basis, TOL) == "FAIL"
-    with pytest.raises(ValueError):
-        express_in_pair_basis(z, [], TOL)
 
 
 def test_ppa1_statement_a():
