@@ -3,7 +3,8 @@
 ``copcomp analyze X.json [U.json]`` loads a pair of symmetric-matrix
 files, runs :func:`copcomp.analysis.analyze` on it and prints its report
 as text or JSON; ``copcomp scenario run NAME`` replays a bundled
-scenario; ``copcomp scenario list`` enumerates them.  Exit codes: 0 on
+scenario; ``copcomp scenario list`` enumerates them, with ``--json`` as
+one line mapping each name to its description.  Exit codes: 0 on
 success, 1 on a structural failure (the analyze verdicts X_NOT_COPOSITIVE,
 ZERO_STRUCTURE_FAILURE, DECOMPOSITION_FAILURE, ASSUMPTIONS_FAILURE and
 RANK_DEFICIENT, a failed scenario expectation, or a stage of a scenario
@@ -84,8 +85,12 @@ def _emit(report: dict, args) -> None:
 
 def cmd_scenario(args, tol: Tolerances) -> int:
     if args.action == "list":
-        for name in scenario_names():
-            print(f"{name}: {SCENARIOS[name].description}")
+        scenarios = {name: SCENARIOS[name].description for name in scenario_names()}
+        if args.json:
+            _print_json({"schema": SCHEMA, "scenarios": scenarios})
+        else:
+            for name, description in scenarios.items():
+                print(f"{name}: {description}")
         return 0
     try:
         records = run_scenario(args.name, tol)

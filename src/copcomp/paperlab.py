@@ -1,13 +1,14 @@
 """Worked examples and counterexamples as executable scenarios.
 
-Each scenario packages an anchor pair (and, where relevant, a parametric
-path) together with its expected analysis outcomes; ``run_scenario``
-evaluates every expectation and reports pass/fail records.
+A scenario is a builder of its anchor pair (a dict with ``"x"``, ``"u"``
+and any path data), expectations over ``(data, analysis, tol)`` that
+return pass/fail records, and one entry in ``SCENARIOS``;
+:meth:`Scenario.run` builds and analyzes the anchor once.
 """
 
 from __future__ import annotations
 
-import functools
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,12 +24,25 @@ EPS_GRID = (0.2, 0.1, 0.05, 0.01)
 EPS_PATH = (0.2, 0.1, 0.05)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Scenario:
-    name: str
     description: str
-    build: callable
-    expectations: callable  # (tol) -> list of check records
+    build: Callable[[], dict]
+    expectations: Callable[[dict, Analysis, Tolerances], list[dict]]
+
+    def run(self, tol: Tolerances = Tolerances()) -> list[dict]:
+        """The expectations' check records on the built anchor and its one
+        :func:`analyze`, whose every stage they read: an analysis that stops
+        early raises the message of the stage that stopped it, for a
+        non-copositive X that of ``zerostruct.enumerate_zero_vertices``."""
+        data = self.build()
+        a = analyze(data["x"], data["u"], tol)
+        if not a.copositive.member:
+            raise ValueError(f"matrix is not copositive (min {a.copositive.min_value:.3e});"
+                             " zero structure undefined")
+        if a.error is not None:
+            raise ValueError(a.error)
+        return self.expectations(data, a, tol)
 
 
 def _check(name: str, passed, detail: str = "") -> dict:
@@ -61,20 +75,6 @@ def _match_vertex_sets(found, expected, atol: float) -> bool:
     return True
 
 
-def _analyze(x, u, tol) -> Analysis:
-    """:func:`analyze` of a scenario anchor, whose expectations read every
-    stage: an analysis that stops early raises the message of the stage
-    that stopped it, for a non-copositive X the one of
-    :func:`~copcomp.zerostruct.enumerate_zero_vertices`."""
-    a = analyze(x, u, tol)
-    if not a.copositive.member:
-        raise ValueError(f"matrix is not copositive (min {a.copositive.min_value:.3e});"
-                         " zero structure undefined")
-    if a.error is not None:
-        raise ValueError(a.error)
-    return a
-
-
 def _support_sets(zs) -> set:
     return {tuple(k + 1 for k in ps) for ps in zs.supports}
 
@@ -98,10 +98,8 @@ def build_s4() -> dict:
     return {"a": a, "b": b, "c": c, "x": x, "u": u}
 
 
-def _s4_expectations(tol: Tolerances) -> list[dict]:
-    data = build_s4()
-    x, u, b, c = data["x"], data["u"], data["b"], data["c"]
-    anchor = _analyze(x, u, tol)
+def _s4_expectations(data, anchor: Analysis, tol: Tolerances) -> list[dict]:
+    b, c = data["b"], data["c"]
     zs, dd, rep = anchor.zero_structure, anchor.decomposition, anchor.assumptions
     sys, cert = anchor.system, anchor.rank
     out = [
@@ -241,10 +239,8 @@ def _extremal5_path_checks(data, tol: Tolerances) -> list[dict]:
     return out
 
 
-def _extremal5_expectations(tol: Tolerances, theta=THETA_STAR) -> list[dict]:
-    data = build_extremal5(theta)
+def _extremal5_expectations(data, anchor: Analysis, tol: Tolerances) -> list[dict]:
     x, u, a, b = data["x"], data["u"], data["a"], data["b"]
-    anchor = _analyze(x, u, tol)
     zs, rep = anchor.zero_structure, anchor.assumptions
     taus_norm = [t / np.sum(t) for t in data["taus"]]
     return [
@@ -261,11 +257,9 @@ def _extremal5_expectations(tol: Tolerances, theta=THETA_STAR) -> list[dict]:
     ] + _extremal5_path_checks(data, tol)
 
 
-def _pp3z_j_expectations(tol: Tolerances) -> list[dict]:
+def _pp3z_j_expectations(data, anchor: Analysis, tol: Tolerances) -> list[dict]:
     """The forward theorem loses its conclusion when only strict
     complementarity fails: same family, path-focused expectations."""
-    data = build_extremal5()
-    anchor = _analyze(data["x"], data["u"], tol)
     zs, dd, rep = anchor.zero_structure, anchor.decomposition, anchor.assumptions
     out = [_check("anchor assumption j FAIL", rep.j.status == FAIL, rep.j.status)]
     out.extend(_extremal5_path_checks(data, tol))
@@ -301,9 +295,7 @@ def pp3z_jjj_path(eps):
     return np.outer(a, a) + np.outer(b, b), np.outer(t, t)
 
 
-def _pp3z_jjj_expectations(tol: Tolerances) -> list[dict]:
-    data = build_pp3z_jjj()
-    anchor = _analyze(data["x"], data["u"], tol)
+def _pp3z_jjj_expectations(data, anchor: Analysis, tol: Tolerances) -> list[dict]:
     zs, rep = anchor.zero_structure, anchor.assumptions
     out = [
         _check("single vertex (1/2,1/2,0)",
@@ -366,9 +358,7 @@ def pp4z_j_path(eps):
     return x, w
 
 
-def _pp4z_j_expectations(tol: Tolerances) -> list[dict]:
-    data = build_pp4z_j()
-    anchor = _analyze(data["x"], data["u"], tol)
+def _pp4z_j_expectations(data, anchor: Analysis, tol: Tolerances) -> list[dict]:
     zs, rep = anchor.zero_structure, anchor.assumptions
     e = np.eye(4)
     return [
@@ -400,9 +390,7 @@ def pp4z_jjj_path(eps):
     return x, w
 
 
-def _pp4z_jjj_expectations(tol: Tolerances) -> list[dict]:
-    data = build_pp4z_jjj()
-    anchor = _analyze(data["x"], data["u"], tol)
+def _pp4z_jjj_expectations(data, anchor: Analysis, tol: Tolerances) -> list[dict]:
     zs, dd, rep = anchor.zero_structure, anchor.decomposition, anchor.assumptions
     e = np.eye(3)
     return [
@@ -435,9 +423,7 @@ def pp4z_cond_ii_path(eps):
     return x, w
 
 
-def _pp4z_cond_ii_expectations(tol: Tolerances) -> list[dict]:
-    data = build_pp4z_cond_ii()
-    anchor = _analyze(data["x"], data["u"], tol)
+def _pp4z_cond_ii_expectations(data, anchor: Analysis, tol: Tolerances) -> list[dict]:
     zs, dd, rep = anchor.zero_structure, anchor.decomposition, anchor.assumptions
     e = np.eye(3)
     out = [
@@ -466,50 +452,27 @@ def _pp4z_cond_ii_expectations(tol: Tolerances) -> list[dict]:
 
 SCENARIOS = {
     "s4": Scenario(
-        "s4",
         "worked example: p=3, two blocks, all assumptions hold, full rank",
         build_s4, _s4_expectations),
     "hildebrand": Scenario(
-        "hildebrand",
         "order-5 family H(theta), PSD rank 2 at sum pi: strict complementarity fails",
         build_extremal5, _extremal5_expectations),
     "pp3z-j": Scenario(
-        "pp3z-j",
         "forward theorem counterexample: only strict complementarity fails",
         build_extremal5, _pp3z_j_expectations),
     "pp3z-jjj": Scenario(
-        "pp3z-jjj",
         "forward theorem counterexample: contact set exceeds block support",
         build_pp3z_jjj, _pp3z_jjj_expectations),
     "pp4z-j": Scenario(
-        "pp4z-j",
         "backward theorem counterexample: strict complementarity fails",
         build_pp4z_j, _pp4z_j_expectations),
     "pp4z-jjj": Scenario(
-        "pp4z-jjj",
         "backward theorem counterexample: contact set exceeds block support",
         build_pp4z_jjj, _pp4z_jjj_expectations),
     "pp4z-cond-ii": Scenario(
-        "pp4z-cond-ii",
         "backward theorem counterexample: no strictly positive factorization",
         build_pp4z_cond_ii, _pp4z_cond_ii_expectations),
 }
-
-
-def hildebrand(theta=THETA_STAR) -> Scenario:
-    """The H(theta) scenario at angles summing to pi (PSD of rank 2); validates
-    the anchor, whose path theta_1 - eps must stay in (0, pi) for each EPS_PATH eps."""
-    theta = check_theta_anchor(theta)
-    if theta[0] <= max(EPS_PATH):
-        raise ValueError(f"theta_1 must exceed max(EPS_PATH) = {max(EPS_PATH)} "
-                         f"so that the path stays in (0, pi), got {theta[0]}")
-    if theta != THETA_STAR:
-        return Scenario(
-            "hildebrand",
-            SCENARIOS["hildebrand"].description,
-            functools.partial(build_extremal5, theta),
-            functools.partial(_extremal5_expectations, theta=theta))
-    return SCENARIOS["hildebrand"]
 
 
 def scenario_names() -> list[str]:
@@ -519,4 +482,4 @@ def scenario_names() -> list[str]:
 def run_scenario(name: str, tol: Tolerances = Tolerances()) -> list[dict]:
     if name not in SCENARIOS:
         raise KeyError(f"unknown scenario {name!r}; known: {', '.join(SCENARIOS)}")
-    return SCENARIOS[name].expectations(tol)
+    return SCENARIOS[name].run(tol)

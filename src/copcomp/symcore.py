@@ -18,6 +18,9 @@ import numpy as np
 
 SQRT2 = np.sqrt(2.0)
 
+# A SymMat file loads when its asymmetry is at most SYM_TOL * max|a|.
+SYM_TOL = 1e-12
+
 # Simplex thresholds: pivot elements up to LP_PIVOT_TOL * max|a_ub| count as
 # zero, as do right-hand sides and reduced costs up to LP_ZERO_TOL times the
 # largest |b_ub| and |c|.  Bland's rule ends every run in exact arithmetic;
@@ -79,14 +82,14 @@ def symmetrize(a) -> np.ndarray:
     return sym
 
 
-def check_symmetric(a, tol: float = 1e-12) -> np.ndarray:
-    """Symmetrize ``a`` if its asymmetry is at most tol * max|a|, a bound
-    that scales with ``a``, so c a loads exactly when ``a`` does."""
+def check_symmetric(a) -> np.ndarray:
+    """Symmetrize ``a`` if its asymmetry is at most SYM_TOL * max|a|, a
+    bound that scales with ``a``, so c a loads exactly when ``a`` does."""
     sym = symmetrize(a)
     a = np.asarray(a, dtype=float)
     with np.errstate(over="ignore"):
         asym = np.max(np.abs(a - a.T)) if a.size else 0.0
-    bound = tol * np.max(np.abs(a), initial=0.0)
+    bound = SYM_TOL * np.max(np.abs(a), initial=0.0)
     if asym > bound:
         raise SymMatError(f"matrix asymmetry {asym:.3e} exceeds {bound:.3e}")
     return sym
@@ -424,7 +427,7 @@ def symmat_from_json(obj: dict) -> np.ndarray:
         raise SymMatError(f"malformed rows: {exc}") from exc
     if a.shape != (p, p):
         raise SymMatError(f"rows shape {a.shape} does not match p={p}")
-    return check_symmetric(a, tol=1e-12)
+    return check_symmetric(a)
 
 
 def load_symmat(path) -> np.ndarray:

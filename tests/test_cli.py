@@ -13,7 +13,8 @@ import copcomp.cones as cones
 import copcomp.zerostruct as zerostruct
 from copcomp.cli import SCHEMA, main
 from copcomp.cones import EXACT_COPOSITIVITY_LIMIT
-from copcomp.paperlab import build_extremal5, build_pp4z_j, build_s4
+from copcomp.paperlab import (SCENARIOS, build_extremal5, build_pp4z_j,
+                               build_s4, scenario_names)
 from copcomp.defeq import DefiningSystem, rank_certificate
 from copcomp.symcore import Tolerances, svec, symmat_from_json, symmat_to_json
 
@@ -270,6 +271,17 @@ def test_scenario_list(capsys):
     assert rc == 0
     for name in ("s4", "hildebrand", "pp4z-cond-ii"):
         assert name in out
+
+
+def test_scenario_list_json(capsys):
+    rc = main(["scenario", "list", "--json"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert out.count("\n") == 1
+    report = json.loads(out)
+    assert report["schema"] == SCHEMA
+    assert sorted(report["scenarios"]) == sorted(scenario_names())
+    assert report["scenarios"]["s4"] == SCENARIOS["s4"].description
 
 
 def test_scenario_run_pass(capsys):

@@ -1,3 +1,6 @@
+import dataclasses
+import functools
+
 import numpy as np
 import pytest
 
@@ -11,7 +14,6 @@ from copcomp.paperlab import (
     extremal5_matrix,
     extremal5_vectors,
     extremal5_zeros,
-    hildebrand,
     run_scenario,
     scenario_names,
 )
@@ -99,32 +101,32 @@ def test_extremal5_dual_is_sum_of_tau_outers():
     assert np.linalg.eigvalsh(u)[0] >= -1e-12
 
 
-def test_alias_functions():
-    assert hildebrand() is SCENARIOS["hildebrand"]
+def _hildebrand_at(theta):
+    """The H(theta) scenario at another anchor, from the public pieces."""
+    return dataclasses.replace(SCENARIOS["hildebrand"],
+                               build=functools.partial(build_extremal5, theta))
 
 
 def test_hildebrand_nondefault_anchor():
     theta = (0.7, 0.6, 0.5, 0.6, np.pi - 2.4)
-    scenario = hildebrand(theta)
-    records = scenario.expectations(TOL)
+    records = _hildebrand_at(theta).run(TOL)
     failures = [r for r in records if not r["passed"]]
     assert not failures, failures
     with pytest.raises(ValueError):
-        hildebrand((0.5,) * 5)
+        _hildebrand_at((0.5,) * 5).run(TOL)
 
 
 @pytest.mark.parametrize("theta_1", [0.1, max(EPS_PATH)])
 def test_hildebrand_refuses_an_anchor_whose_path_leaves_the_range(theta_1):
     """theta_1 - eps must stay in (0, pi) for every eps in EPS_PATH."""
     theta = (theta_1, 0.7, 0.7, 0.8, np.pi - 2.2 - theta_1)
-    with pytest.raises(ValueError, match="EPS_PATH"):
-        hildebrand(theta)
+    with pytest.raises(ValueError, match=r"theta entries must lie in \(0, pi\)"):
+        _hildebrand_at(theta).run(TOL)
 
 
 def test_scenario_json():
     # the fields `scenario list` prints, read straight off the registry
-    assert all(SCENARIOS[n].name == n and SCENARIOS[n].description
-               for n in ALL_NAMES)
+    assert all(SCENARIOS[n].description for n in ALL_NAMES)
 
 
 _EPS_PATH = ("eps=0.2", "eps=0.1", "eps=0.05")
@@ -202,7 +204,7 @@ def test_scenario_checks_pinned_in_order(name):
 
 def test_hildebrand_nondefault_anchor_runs_the_same_checks():
     theta = (0.7, 0.6, 0.5, 0.6, np.pi - 2.4)
-    records = hildebrand(theta).expectations(TOL)
+    records = _hildebrand_at(theta).run(TOL)
     assert [(r["expectation"], r["passed"]) for r in records] == [
         (e, True) for e in EXPECTED_CHECKS["hildebrand"]]
-    assert hildebrand(theta).build()["theta"] == theta
+    assert _hildebrand_at(theta).build()["theta"] == theta
