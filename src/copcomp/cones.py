@@ -22,7 +22,7 @@ FACE_CHUNK = 128
 
 
 class OrderLimitError(ValueError):
-    """Exact copositivity path refused; use simplex_min_oracle instead."""
+    """Exact copositivity path refused: X is above EXACT_COPOSITIVITY_LIMIT."""
 
 
 @dataclass
@@ -34,7 +34,8 @@ class CopVerdict:
     witness: np.ndarray | None = None
     # supports decided, not faces solved: 2^p - 1, or 0 on a negative diagonal
     supports_checked: int = 0
-    zeros: list = field(default_factory=list)  # candidate zero vertices
+    zeros: list = field(default_factory=list)  # zero vertices
+    contact_sets: list = field(default_factory=list)  # 0-based, one per zero
 
     def to_json(self) -> dict:
         out = {
@@ -46,11 +47,6 @@ class CopVerdict:
         if self.witness is not None:
             out["witness"] = self.witness.tolist()
         return out
-
-
-def zero_bound(tol: Tolerances) -> float:
-    """Bound on |t'Xt| under which a simplex vector t is a zero of X."""
-    return min(tol.slack, 0.99)
 
 
 def unit_scale(x: np.ndarray) -> tuple[np.ndarray, int]:
@@ -84,18 +80,20 @@ def _components(x: np.ndarray) -> list[np.ndarray]:
     return comps
 
 
-def _sweep(x: np.ndarray, tol: Tolerances) -> tuple[float, np.ndarray, list]:
+def _sweep(x: np.ndarray, tol: Tolerances) -> tuple[float, np.ndarray, list, list]:
     """(min t'Xt over the simplex, the first minimizer in support order,
-    the zeros), solving every face of X; see :func:`is_copositive`."""
+    the zeros, their contact sets as boolean masks), solving every face of
+    X; see :func:`is_copositive`."""
     p = x.shape[0]
     diag = np.diag(x)
     k = int(np.argmin(diag))
     best_val = float(diag[k])
     best_t = np.zeros(p)
     best_t[k] = 1.0
-    bound = zero_bound(tol)
-    kkt = np.min(x, axis=0) >= -bound
-    zeros = list(np.eye(p)[(np.abs(diag) <= min(tol.psd_tol, bound)) & kkt])
+    # X e_k is column k of X
+    contact = np.abs(x) <= tol.zero_tol
+    single = (np.abs(diag) <= min(tol.psd_tol, tol.zero_tol)) & (np.min(x, axis=0) >= -tol.zero_tol)
+    zeros, contacts = list(np.eye(p)[single]), list(contact[single])
     for size in range(2, p + 1):
         all_supports, all_xi = principal_blocks(x, size)
         # FACE_CHUNK faces at a time cap the SVD's memory (924 faces of size 6 at p = 12)
@@ -120,21 +118,26 @@ def _sweep(x: np.ndarray, tol: Tolerances) -> tuple[float, np.ndarray, list]:
             s = 0.5 * sig[full][ok]  # those of [[X_I, 1/2], [1/2', 0]]
             delta = tol.psd_tol * np.maximum(1.0, s[:, 0])
             ray = vals / np.einsum("mi,mi->m", ti, ti)
-            vertex = ((np.min(ti, axis=1) > tol.zero_tol) & (np.abs(vals) <= bound)
-                      & (np.min(rows @ x, axis=1) >= -bound))
-            zeros.extend(rows[vertex & (np.abs(ray) <= delta) & (s[:, -1] > delta)])
+            xt = rows @ x
+            contact = np.abs(xt) <= tol.zero_tol
+            vertex = ((np.min(ti, axis=1) > tol.zero_tol)
+                      & np.take_along_axis(contact, supports[full][ok], axis=1).all(axis=1)
+                      & (np.min(xt, axis=1) >= -tol.zero_tol)
+                      & (np.abs(ray) <= delta) & (s[:, -1] > delta))
+            zeros.extend(rows[vertex])
+            contacts.extend(contact[vertex])
             m = int(np.argmin(vals))
             if vals[m] < best_val:
                 best_val, best_t = float(vals[m]), rows[m].copy()
-    return best_val, best_t, zeros
+    return best_val, best_t, zeros, contacts
 
 
 def is_copositive(x: np.ndarray, tol: Tolerances = Tolerances()) -> CopVerdict:
     """Exact combinatorial copositivity decision for small orders.
 
     Every test below reads X / 2^e of :func:`unit_scale`, so 2^k X gets
-    the verdict, ``argmin`` and ``zeros`` of X and 2^k times its
-    ``min_value``, the one output mapped back to the units of X.
+    the verdict, ``argmin``, ``zeros`` and ``contact_sets`` of X and 2^k
+    times its ``min_value``, the one output mapped back to the units of X.
     Minimizes t'Xt over the simplex by enumerating KKT supports; member
     iff the minimum is >= -zero_tol.  A diagonal entry under that floor
     short circuits with a coordinate-vector witness.
@@ -169,16 +172,21 @@ def is_copositive(x: np.ndarray, tol: Tolerances = Tolerances()) -> CopVerdict:
     minimum is lost.
 
     A solved face's t goes to ``zeros`` when it is strictly positive (above
-    zero_tol), |t'Xt| and -min(Xt) are at most zero_bound(tol), and X_I has
-    exactly one eigenvalue within delta = psd_tol * max(1, sigma_max) of 0,
-    the rule of ``null_eigenvalues``, sigma_max, sigma_min the extreme
-    singular values of the symmetric [[X_I, 1/2], [1/2', 0]].  The Rayleigh
-    quotient t'X_I t / t't <= delta shows one; sigma_min > delta shows there
-    is no second, as the eigenvalues of X_I interlace those of that matrix,
-    whose moduli are its singular values.  With a second, t would be an
-    inner point of an edge of the zero set.  e_k goes to ``zeros`` by the
-    same zero and sign rules, with |x_kk| <= psd_tol.  ``zeros`` is ordered
-    by support size, then support.
+    zero_tol), (Xt)_k is within zero_tol of 0 for k in I and >= -zero_tol
+    for every k, and X_I has exactly one eigenvalue within delta = psd_tol
+    * max(1, sigma_max) of 0, the rule of ``null_eigenvalues``, sigma_max,
+    sigma_min the extreme singular values of the symmetric [[X_I, 1/2],
+    [1/2', 0]].  The Rayleigh quotient t'X_I t / t't <= delta shows one;
+    sigma_min > delta shows there is no second, as the eigenvalues of X_I
+    interlace those of that matrix, whose moduli are its singular values.
+    With a second, t would be an inner point of an edge of the zero set.
+    The zero rule bounds |t'Xt| = |sum_I t_k (Xt)_k| by zero_tol.  e_k goes
+    to ``zeros`` when |x_kk| <= min(psd_tol, zero_tol) and column k of X is
+    >= -zero_tol.  The same numbers give each zero's contact set
+    M = {k : |(Xt)_k| <= zero_tol} in ``contact_sets``, so supp(t) lies in
+    M, as does every index outside t's component, where X is exactly 0.0.
+    ``zeros`` and ``contact_sets`` are ordered by the zeros' coordinates
+    rounded to 12 decimals.
 
     Within a component, ``argmin`` is the first minimizer in support order
     (by size, then lexicographic); among components tied at a minimum <= 0
@@ -189,8 +197,7 @@ def is_copositive(x: np.ndarray, tol: Tolerances = Tolerances()) -> CopVerdict:
     p = x.shape[0]
     if p > EXACT_COPOSITIVITY_LIMIT:
         raise OrderLimitError(
-            f"exact copositivity limited to p <= {EXACT_COPOSITIVITY_LIMIT} "
-            f"(got {p}); use simplex_min_oracle for an upper bound"
+            f"exact copositivity limited to p <= {EXACT_COPOSITIVITY_LIMIT} (got {p})"
         )
     if p == 0:
         raise SymMatError("copositivity needs a matrix of order p >= 1, got order 0")
@@ -205,13 +212,16 @@ def is_copositive(x: np.ndarray, tol: Tolerances = Tolerances()) -> CopVerdict:
 
     mins, args, zeros = [], [], []
     for c in _components(x):
-        val, t, zs = _sweep(x[np.ix_(c, c)], tol)
+        val, t, zs, ms = _sweep(x[np.ix_(c, c)], tol)
         embedded = np.zeros((1 + len(zs), p))
         embedded[:, c] = [t, *zs]
+        # X is exactly 0.0 between components: every index outside c is a contact
+        touched = np.ones((len(ms), p), dtype=bool)
+        touched[:, c] = np.reshape(ms, (len(ms), len(c)))
         mins.append(val)
         args.append(embedded[0])
-        zeros.extend(embedded[1:])
-    zeros.sort(key=lambda z: (np.count_nonzero(z), tuple(np.flatnonzero(z))))
+        zeros.extend(zip(embedded[1:], (tuple(np.flatnonzero(m).tolist()) for m in touched)))
+    zeros.sort(key=lambda zm: tuple(np.round(zm[0], 12)))
     i = int(np.argmin(mins))
     if len(mins) == 1 or mins[i] <= 0.0:
         best_val, best_t = mins[i], args[i]
@@ -221,7 +231,8 @@ def is_copositive(x: np.ndarray, tol: Tolerances = Tolerances()) -> CopVerdict:
     member = best_val >= -tol.zero_tol
     witness = None if member else best_t
     return CopVerdict(member=member, min_value=math.ldexp(best_val, e), argmin=best_t,
-                      witness=witness, supports_checked=2 ** p - 1, zeros=zeros)
+                      witness=witness, supports_checked=2 ** p - 1,
+                      zeros=[z for z, _ in zeros], contact_sets=[m for _, m in zeros])
 
 
 def _simplex_project(v: np.ndarray) -> np.ndarray:

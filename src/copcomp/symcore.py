@@ -60,8 +60,9 @@ class Tolerances:
     def __post_init__(self):
         for f in fields(self):
             v = getattr(self, f.name)
-            if not (0.0 < v < 1.0):
-                raise ValueError(f"{f.name} must be in (0, 1), got {v}")
+            # below 4 eps = 2^-50 the unit-scale zero tests decide on rounding
+            if not (2.0 ** -50 <= v < 1.0):
+                raise ValueError(f"{f.name} must be in [2^-50, 1), got {v}")
 
     @property
     def slack(self) -> float:

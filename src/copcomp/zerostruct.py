@@ -1,8 +1,8 @@
 """Zero-set structure of a copositive matrix.
 
-Enumerates the vertices of the convex hull of the normalized zero set,
-their contact sets, the maximal mutually-compatible blocks with their
-supports, and per-block basis subsets.
+Reads the vertices of the convex hull of the normalized zero set and their
+contact sets from the copositivity sweep; builds the maximal mutually-
+compatible blocks, their supports and per-block basis subsets.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cones import CopVerdict, is_copositive, unit_scale
+from .cones import CopVerdict, is_copositive
 from .symcore import Tolerances, rank_of_vectors, symmetrize
 
 
@@ -80,9 +80,9 @@ def enumerate_zero_vertices(x: np.ndarray, tol: Tolerances = Tolerances(),
     vertex; (b) ker X_I = span(v), v > 0; (c) the KKT system 2 X_I t = lam 1,
     1't = 1 has a unique solution, strictly positive and of value 0.  So the
     vertices are the faces of (c) that :func:`is_copositive` keeps from its
-    sweep, ``verdict.zeros`` (it tests (b) at psd_tol and the zero and sign
-    rules at zero_bound(tol), see its docstring).  They have distinct
-    supports and entries above zero_tol, so no two coincide.
+    sweep, ``verdict.zeros``, in its order (it tests (b) at psd_tol, and the
+    zero and sign rules on X tau at zero_tol, see its docstring).  They have
+    distinct supports and entries above zero_tol, so no two coincide.
 
     (a) => (b): X tau >= 0 and tau'X tau = 0 give X_I tau_I = 0; a w != 0
     in ker X_I with 1'w = 0 would make tau the midpoint of zeros tau +- eps w.
@@ -106,22 +106,7 @@ def enumerate_zero_vertices(x: np.ndarray, tol: Tolerances = Tolerances(),
             f"matrix is not copositive (min {verdict.min_value:.3e}); "
             "zero structure undefined"
         )
-    return sorted(verdict.zeros, key=lambda v: tuple(np.round(v, 12)))
-
-
-def compute_contact_set(x: np.ndarray, tau: np.ndarray, tol: Tolerances = Tolerances()) -> tuple[int, ...]:
-    """M(j) = {k : e_k' X tau = 0} for a zero tau of X: the k with
-    |(X tau)_k| <= zero_tol, read, like |tau'X tau| <= slack, on the copy
-    X / 2^e of :func:`unit_scale`, so cX has the contact sets of X."""
-    x, _ = unit_scale(symmetrize(x))
-    tau = np.asarray(tau, dtype=float)
-    if abs(float(tau @ x @ tau)) > tol.slack:
-        raise ZeroStructureError("tau is not a zero of X within tolerance")
-    contact = tuple(int(k) for k in np.nonzero(np.abs(x @ tau) <= tol.zero_tol)[0])
-    supp = support_of(tau, tol)
-    if not set(supp) <= set(contact):
-        raise ZeroStructureError("contact set does not contain supp(tau)")
-    return contact
+    return verdict.zeros
 
 
 def _maximal_cliques(n: int, adj: list[set]) -> list[tuple[int, ...]]:
@@ -150,8 +135,8 @@ def partition_blocks(vertices: list, contact_sets: list, tol: Tolerances = Toler
     {i, j} iff supp(tau(i)) <= M(j) and supp(tau(j)) <= M(i); P_*(s) is
     the union of its members' supports.  Cover conditions a) and b) hold
     by construction: a) since every vertex lies in some maximal clique,
-    b) since clique members are pairwise compatible and
-    :func:`compute_contact_set` refuses any tau with supp(tau) not in M(tau).
+    b) since clique members are pairwise compatible and the sweep of
+    :func:`is_copositive` keeps no tau with supp(tau) not in M(tau).
     Condition c) does not follow from maximality and raises
     :class:`ZeroStructureError` when it fails: for blocks J(a) != J(b),
     every i0 in J(a) - J(b) needs a j0 in J(b) - J(a) with
@@ -195,11 +180,14 @@ def compute_zero_structure(x: np.ndarray, tol: Tolerances = Tolerances(),
                            verdict: CopVerdict | None = None) -> ZeroStructure:
     """Full pipeline: vertices, contact sets, blocks, supports, bases.
 
-    ``verdict`` is passed on to :func:`enumerate_zero_vertices`.
+    ``verdict`` is ``is_copositive(x, tol)``, computed here when absent;
+    its ``zeros`` and ``contact_sets`` are the vertices and contact sets.
     """
     x = symmetrize(x)
+    if verdict is None:
+        verdict = is_copositive(x, tol)
     vertices = enumerate_zero_vertices(x, tol, verdict)
-    contact_sets = [compute_contact_set(x, v, tol) for v in vertices]
+    contact_sets = verdict.contact_sets
     blocks, supports = partition_blocks(vertices, contact_sets, tol)
     return ZeroStructure(
         x=x,

@@ -9,7 +9,7 @@ from copcomp.cli import main
 from copcomp.complement import ComplementError
 from copcomp.cones import CopVerdict, OrderLimitError
 from copcomp.paperlab import SCENARIOS, build_pp4z_j, build_s4, run_scenario
-from copcomp.symcore import SymMatError, symmat_to_json
+from copcomp.symcore import SymMatError, Tolerances, symmat_to_json
 from copcomp.zerostruct import ZeroStructureError
 
 BASE = {"schema", "version", "digest", "tolerances", "inputs", "copositive",
@@ -114,8 +114,19 @@ def test_bad_input_raises_before_any_work(monkeypatch, x, u, exc):
         analyze(x, u)
 
 
+@pytest.mark.parametrize("delta", [0.0, 1e-10, 6e-9, 2e-8])
+def test_near_null_face_verdict_does_not_depend_on_psd_tol(delta):
+    # s4's faces {1, 2} and {2, 3} move off zero as delta grows; the sweep
+    # decides each vertex and its contact set from one X tau, so the loose
+    # psd_tol reads the default's verdict and never a zero structure failure
+    x = build_s4()["x"] + delta * np.eye(3)
+    verdicts = {analyze(x, None, Tolerances(psd_tol=p)).verdict for p in (1e-9, 1e-6)}
+    assert len(verdicts) == 1 and "ZERO_STRUCTURE_FAILURE" not in verdicts
+
+
 def test_order_above_the_exact_limit_raises():
-    with pytest.raises(OrderLimitError):
+    with pytest.raises(OrderLimitError,
+                       match=r"^exact copositivity limited to p <= 12 \(got 13\)$"):
         analyze(np.eye(13))
 
 

@@ -144,7 +144,8 @@ def _forbid_work(monkeypatch, module, *names):
 @pytest.mark.parametrize("argv", [
     ["scenario", "run", "s4", "--zero-tol", "2"],
     ["scenario", "run", "s4", "--psd-tol", "nan"],
-], ids=["zero-tol", "psd-tol"])
+    ["scenario", "run", "hildebrand", "--zero-tol", "1e-20"],
+], ids=["zero-tol", "psd-tol", "zero-tol-below-floor"])
 def test_bad_flag_exit_2_before_any_work(s4_files, capsys, monkeypatch, argv):
     _forbid_work(monkeypatch, cli, "run_scenario", "load_symmat")
     _forbid_work(monkeypatch, analysis, "is_copositive")

@@ -275,7 +275,7 @@ def test_unit_scale_divides_by_the_nearest_power_of_two():
      [0.5 - 5e-7, 0.5 - 5e-7, 1e-6]),
 ], ids=["diagonal", "face"])
 def test_zeros_meet_the_kkt_sign_rule(x, vertex):
-    # a candidate with X t below -zero_bound on some entry is no zero, and
+    # a candidate with X t below -zero_tol on some entry is no zero, and
     # the sweep's zeros are the zero vertices as they are
     x = np.array(x)
     zeros = is_copositive(x, TOL).zeros
@@ -414,16 +414,20 @@ def _direct_sums(n, seed):
 def test_direct_sum_sweep_matches_the_whole_matrix_sweep():
     # _sweep on the whole of X / 2^e also solves the faces that meet two
     # components; sweeping each component on its own must give the same
-    # verdict and zeros, in the same order, and the same minimum to rounding
+    # verdict, zeros and contact sets, in coordinate order, and the same
+    # minimum to rounding
     kinds = set()
     for x in _direct_sums(120, 7003):
         v = is_copositive(x, TOL)
         xs, e = unit_scale(x)
-        val, _, zeros = _sweep(xs, TOL)
+        val, _, zeros, contacts = _sweep(xs, TOL)
+        whole = sorted(zip(zeros, contacts), key=lambda zm: tuple(np.round(zm[0], 12)))
         assert v.member == (val >= -TOL.zero_tol), x
         assert v.supports_checked == 2 ** len(x) - 1
-        assert len(v.zeros) == len(zeros), x
-        assert all(a.tobytes() == b.tobytes() for a, b in zip(v.zeros, zeros)), x
+        assert len(v.zeros) == len(v.contact_sets) == len(whole), x
+        for z, m, (wz, wm) in zip(v.zeros, v.contact_sets, whole):
+            assert z.tobytes() == wz.tobytes(), x
+            assert m == tuple(np.flatnonzero(wm).tolist()), x
         assert abs(v.min_value - math.ldexp(val, e)) <= math.ldexp(1e-12, e), x
         t = v.argmin
         assert t.min() >= 0.0 and abs(t.sum() - 1.0) <= 1e-12, x

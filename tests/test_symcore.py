@@ -49,6 +49,14 @@ def test_tolerances_validation():
         Tolerances(psd_tol=-1e-9)
 
 
+@pytest.mark.parametrize("name", ["zero_tol", "rank_tol", "psd_tol"])
+def test_tolerances_floor_is_four_eps(name):
+    # below 4 eps the unit-scale zero tests decide on rounding
+    Tolerances(**{name: 2.0 ** -50})
+    with pytest.raises(ValueError, match=r"must be in \[2\^-50, 1\)"):
+        Tolerances(**{name: 2.0 ** -51})
+
+
 def test_slack_is_ten_zero_tol_and_not_an_option():
     assert Tolerances().slack == 10 * 1e-9
     assert Tolerances(zero_tol=3e-7).slack == 10 * 3e-7

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from copcomp.cones import is_copositive, principal_blocks, zero_bound
+from copcomp.cones import is_copositive, principal_blocks, unit_scale
 from copcomp.paperlab import (
     THETA_STAR,
     build_extremal5,
@@ -19,7 +19,6 @@ from copcomp.symcore import SymMatError, Tolerances, null_eigenvalues
 from copcomp.zerostruct import (
     ZeroStructureError,
     basis_subset,
-    compute_contact_set,
     compute_zero_structure,
     enumerate_zero_vertices,
     pair_index_set,
@@ -96,15 +95,10 @@ def test_worked_example_structure():
     assert not zs.overlapping_blocks
 
 
-def test_contact_set_requires_a_zero():
-    x = np.eye(3)
-    with pytest.raises(ZeroStructureError):
-        compute_contact_set(x, np.array([1.0, 0.0, 0.0]), TOL)
-
-
 def test_contact_set_of_zero_matrix_is_everything():
-    assert compute_contact_set(np.zeros((3, 3)),
-                               np.array([0.5, 0.5, 0.0]), TOL) == (0, 1, 2)
+    zs = compute_zero_structure(np.zeros((3, 3)), TOL)
+    assert len(zs.vertices) == 3
+    assert zs.contact_sets == [(0, 1, 2)] * 3
 
 
 def test_extremal5_vertices_and_blocks():
@@ -125,8 +119,8 @@ SCALES = [2.0 ** -100, 2.0 ** -20, 1e-8, 1e4, 1e8, 2.0 ** 40, 1e10, 1e12]
 @pytest.mark.parametrize("c", SCALES)
 def test_scaled_hildebrand_keeps_its_five_zero_vertices(c):
     # the sweep's zero and sign rules read X / 2^e: at c = 1e8 roundoff
-    # puts min(c X tau) near -3e-8, past the bound -zero_bound(tol) = -1e-8
-    # on c X itself, and at c = 1e12 |t'(c X)t| reaches 5e-5
+    # puts min(c X tau) near -3e-8, past the bound -zero_tol = -1e-9 on
+    # c X itself, and at c = 1e12 |t'(c X)t| reaches 5e-5
     x = build_extremal5()["x"]
     ref = enumerate_zero_vertices(x, TOL)
     got = enumerate_zero_vertices(c * x, TOL)
@@ -453,12 +447,11 @@ def _copositive_corpus():
 def _kernel_scan_vertices(x, tol):
     """Reference zero vertices by a second sweep: the supports I whose
     X_I has a one-dimensional kernel (one stacked ``eigh`` per size) with a
-    strictly positive generator that is a zero of X satisfying KKT, all
-    read on X over the power of two nearest max|X|."""
+    strictly positive generator t, |(X t)_k| <= zero_tol on I and
+    X t >= -zero_tol, all read on X over the power of two nearest max|X|."""
     p = x.shape[0]
     amax = np.max(np.abs(x))
     x = x / 2.0 ** round(np.log2(amax)) if amax > 0.0 else x
-    bound = zero_bound(tol)
     out = []
     for size in range(1, p + 1):
         supports, xi = principal_blocks(x, size)
@@ -471,7 +464,9 @@ def _kernel_scan_vertices(x, tol):
                 continue
             t = np.zeros(p)
             t[supports[m]] = v / v.sum()
-            if abs(t @ x @ t) <= bound and np.min(x @ t) >= -bound:
+            xt = x @ t
+            if (np.max(np.abs(xt[supports[m]])) <= tol.zero_tol
+                    and np.min(xt) >= -tol.zero_tol):
                 out.append(t)
     out.sort(key=lambda v: tuple(np.round(v, 12)))
     return out
@@ -480,16 +475,21 @@ def _kernel_scan_vertices(x, tol):
 def test_zero_vertices_are_hull_vertices():
     # independent oracles for the vertex argument in enumerate_zero_vertices:
     # the kernel scan finds the same vertices, and no returned vertex lies
-    # in the convex hull of the others; the sweep keeps no other point
+    # in the convex hull of the others; the sweep keeps no other point.
+    # Each contact set holds supp(tau) and is read from X tau on X / 2^e
     lps = 0
     for x in _copositive_corpus():
         verdict = is_copositive(x, TOL)
         vertices = enumerate_zero_vertices(x, TOL, verdict)
-        assert len(verdict.zeros) == len(vertices)
+        assert len(verdict.zeros) == len(vertices) == len(verdict.contact_sets)
         ref = _kernel_scan_vertices(x, TOL)
         assert len(vertices) == len(ref)
         for t, r in zip(vertices, ref):
             assert np.max(np.abs(t - r)) <= 1e-12
+        xs, _ = unit_scale(x)
+        for t, m in zip(vertices, verdict.contact_sets):
+            assert set(support_of(t, TOL)) <= set(m)
+            assert m == tuple(np.flatnonzero(np.abs(xs @ t) <= TOL.zero_tol).tolist())
         for i, t in enumerate(vertices):
             others = vertices[:i] + vertices[i + 1:]
             if others:
