@@ -57,13 +57,6 @@ def unit_scale(x: np.ndarray) -> tuple[np.ndarray, int]:
     return np.ldexp(x, -e), e
 
 
-def principal_blocks(x: np.ndarray, size: int):
-    """Every support of the given size, in itertools order, as an (m, size)
-    index array, with the stacked principal submatrices X_I, (m, size, size)."""
-    supports = np.array(list(itertools.combinations(range(x.shape[0]), size)))
-    return supports, x[supports[:, :, None], supports[:, None, :]]
-
-
 def _components(x: np.ndarray) -> list[np.ndarray]:
     """Index sets of the connected components of the graph with an edge i-j
     wherever x_ij != 0.0, each ascending, in order of their least index.
@@ -80,25 +73,29 @@ def _components(x: np.ndarray) -> list[np.ndarray]:
     return comps
 
 
-def _sweep(x: np.ndarray, tol: Tolerances) -> tuple[float, np.ndarray, list, list]:
-    """(min t'Xt over the simplex, the first minimizer in support order,
-    the zeros, their contact sets as boolean masks), solving every face of
-    X; see :func:`is_copositive`."""
+def _sweep(x: np.ndarray, comp: np.ndarray,
+           tol: Tolerances) -> tuple[float, np.ndarray, list, list]:
+    """(min t'Xt over the simplex vectors supported in the component comp,
+    the first minimizer in support order, the zeros, their contact sets as
+    boolean masks), all of order p, solving every face of X within comp;
+    see :func:`is_copositive`."""
     p = x.shape[0]
-    diag = np.diag(x)
-    k = int(np.argmin(diag))
-    best_val = float(diag[k])
+    diag = np.diag(x)[comp]
+    k = comp[int(np.argmin(diag))]
+    best_val = float(x[k, k])
     best_t = np.zeros(p)
     best_t[k] = 1.0
-    # X e_k is column k of X
-    contact = np.abs(x) <= tol.zero_tol
-    single = (np.abs(diag) <= min(tol.psd_tol, tol.zero_tol)) & (np.min(x, axis=0) >= -tol.zero_tol)
-    zeros, contacts = list(np.eye(p)[single]), list(contact[single])
-    for size in range(2, p + 1):
-        all_supports, all_xi = principal_blocks(x, size)
-        # FACE_CHUNK faces at a time cap the SVD's memory (924 faces of size 6 at p = 12)
-        for lo in range(0, len(all_supports), FACE_CHUNK):
-            supports, xi = all_supports[lo:lo + FACE_CHUNK], all_xi[lo:lo + FACE_CHUNK]
+    cols = x[comp]  # row k of the symmetric X is X e_k
+    contact = np.abs(cols) <= tol.zero_tol
+    single = (np.abs(diag) <= min(tol.psd_tol, tol.zero_tol)) & (np.min(cols, axis=1) >= -tol.zero_tol)
+    zeros, contacts = list(np.eye(p)[comp][single]), list(contact[single])
+    for size in range(2, len(comp) + 1):
+        faces = itertools.combinations(comp.tolist(), size)
+        # FACE_CHUNK supports at a time, drawn lazily, cap the memory of the
+        # supports and the SVD at O(FACE_CHUNK), not C(p, size): 12,870 at p = 16
+        while chunk := list(itertools.islice(faces, FACE_CHUNK)):
+            supports = np.array(chunk)
+            xi = x[supports[:, :, None], supports[:, None, :]]
             a = np.zeros((len(supports), size + 1, size + 1))
             a[:, :size, :size] = 2.0 * xi
             a[:, :size, size] = -1.0
@@ -147,11 +144,13 @@ def is_copositive(x: np.ndarray, tol: Tolerances = Tolerances()) -> CopVerdict:
     commutes with index permutation and positive scaling.  A block-diagonal
     X is copositive iff every block is (Hiriart-Urruty & Seeger, SIAM
     Review 52, 2010), and the faces within one component are swept as
-    below.  The components' minima m_k combine exactly: t = sum a_k t_k
-    gives t'Xt = sum a_k^2 t_k'X t_k, so the minimum is min_k m_k when
-    that is <= 0, attained at that component's minimizer, and otherwise
-    1 / sum_k (1/m_k), attained at sum_k s_k t_k with s_k proportional to
-    1/m_k.  No face is lost: a face I meeting two components has
+    below, in X's own coordinates: each support is a combination of the
+    component's indices, generated FACE_CHUNK at a time, so the sweep's
+    memory does not grow with C(p, k).  The components' minima m_k
+    combine exactly: t = sum a_k t_k gives t'Xt = sum a_k^2 t_k'X t_k,
+    so the minimum is min_k m_k when that is <= 0, attained at that
+    component's minimizer, and otherwise 1 / sum_k (1/m_k), attained at
+    sum_k s_k t_k with s_k proportional to 1/m_k.  No face is lost: a face I meeting two components has
     X_I = X_I1 (+) X_I2, its value sum a_k^2 q_k is never below that
     minimum, and it yields no zero, since a zero has lam = 0, so t would
     vanish on a nonsingular part, and with both parts singular X_I has two
@@ -184,7 +183,9 @@ def is_copositive(x: np.ndarray, tol: Tolerances = Tolerances()) -> CopVerdict:
     to ``zeros`` when |x_kk| <= min(psd_tol, zero_tol) and column k of X is
     >= -zero_tol.  The same numbers give each zero's contact set
     M = {k : |(Xt)_k| <= zero_tol} in ``contact_sets``, so supp(t) lies in
-    M, as does every index outside t's component, where X is exactly 0.0.
+    M, as does every index outside t's component, where X is exactly 0.0
+    and so is Xt.  Off its face a zero is exactly 0.0, so its support is
+    read exactly, without a tolerance.
     ``zeros`` and ``contact_sets`` are ordered by the zeros' coordinates
     rounded to 12 decimals.
 
@@ -212,15 +213,10 @@ def is_copositive(x: np.ndarray, tol: Tolerances = Tolerances()) -> CopVerdict:
 
     mins, args, zeros = [], [], []
     for c in _components(x):
-        val, t, zs, ms = _sweep(x[np.ix_(c, c)], tol)
-        embedded = np.zeros((1 + len(zs), p))
-        embedded[:, c] = [t, *zs]
-        # X is exactly 0.0 between components: every index outside c is a contact
-        touched = np.ones((len(ms), p), dtype=bool)
-        touched[:, c] = np.reshape(ms, (len(ms), len(c)))
+        val, t, zs, ms = _sweep(x, c, tol)
         mins.append(val)
-        args.append(embedded[0])
-        zeros.extend(zip(embedded[1:], (tuple(np.flatnonzero(m).tolist()) for m in touched)))
+        args.append(t)
+        zeros.extend(zip(zs, (tuple(np.flatnonzero(m).tolist()) for m in ms)))
     zeros.sort(key=lambda zm: tuple(np.round(zm[0], 12)))
     i = int(np.argmin(mins))
     if len(mins) == 1 or mins[i] <= 0.0:

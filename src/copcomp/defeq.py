@@ -186,17 +186,15 @@ def solve_local(sys: DefiningSystem, x_perturbed: np.ndarray,
     z = sys.pack(x_perturbed, ws0)
     p_star = sys.p_star
     jw = jacobian(sys, z)[:, p_star:]
-    for _ in range(50):
+    # 51 residuals, each tested once; a step follows each of the first 50
+    for k in range(51):
         r = residual(sys, z)
         if r.size == 0 or np.linalg.norm(r, ord=np.inf) <= tol.zero_tol:
             _, ws = sys.split(z)
             return ws
-        step, _, _, _ = np.linalg.lstsq(jw, r, rcond=None)
-        z[p_star:] -= 0.5 * step
-    r = residual(sys, z)
-    if np.linalg.norm(r, ord=np.inf) <= tol.zero_tol:
-        _, ws = sys.split(z)
-        return ws
+        if k < 50:
+            step, _, _, _ = np.linalg.lstsq(jw, r, rcond=None)
+            z[p_star:] -= 0.5 * step
     return NO_CONVERGENCE, float(np.linalg.norm(r, ord=np.inf))
 
 

@@ -34,7 +34,7 @@ class Scenario:
         """The expectations' check records on the built anchor and its one
         :func:`analyze`, whose every stage they read: an analysis that stops
         early raises the message of the stage that stopped it, for a
-        non-copositive X that of ``zerostruct.enumerate_zero_vertices``."""
+        non-copositive X that of ``zerostruct.compute_zero_structure``."""
         data = self.build()
         a = analyze(data["x"], data["u"], tol)
         if not a.copositive.member:

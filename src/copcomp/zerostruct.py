@@ -68,47 +68,6 @@ def pair_sums(vectors, indices) -> list[np.ndarray]:
     return [vectors[a] + vectors[b] for a, b in pair_index_set(indices)]
 
 
-def support_of(t: np.ndarray, tol: Tolerances) -> tuple[int, ...]:
-    return tuple(int(k) for k in np.nonzero(np.abs(t) > tol.zero_tol)[0])
-
-
-def enumerate_zero_vertices(x: np.ndarray, tol: Tolerances = Tolerances(),
-                            verdict: CopVerdict | None = None) -> list[np.ndarray]:
-    """Vertices of conv T_a(X) for a copositive X.
-
-    For a zero tau of X with support I these are equivalent: (a) tau is a
-    vertex; (b) ker X_I = span(v), v > 0; (c) the KKT system 2 X_I t = lam 1,
-    1't = 1 has a unique solution, strictly positive and of value 0.  So the
-    vertices are the faces of (c) that :func:`is_copositive` keeps from its
-    sweep, ``verdict.zeros``, in its order (it tests (b) at psd_tol, and the
-    zero and sign rules on X tau at zero_tol, see its docstring).  They have
-    distinct supports and entries above zero_tol, so no two coincide.
-
-    (a) => (b): X tau >= 0 and tau'X tau = 0 give X_I tau_I = 0; a w != 0
-    in ker X_I with 1'w = 0 would make tau the midpoint of zeros tau +- eps w.
-    (b) => (a): if tau = sum lam_j t_j (lam_j > 0, t_j zeros), supp(t_j) is
-    in I, and X t_j >= 0 with (X tau)_I = 0 gives (X t_j)_I = 0: t_j = tau.
-    (b) <=> (c): two solutions differ by some (w, mu), 2 X_I w = mu 1,
-    1'w = 0.  Under (b), v'(2 X_I w) = 0 gives mu = 0, so w is in span(v),
-    w = 0, and v / 1'v solves it with lam = 0.  Under (c), lam = 2 t'X_I t
-    = 0 gives X_I t = 0, and a w in ker X_I with 1'w = 0 would give t + w.
-
-    ``verdict`` is ``is_copositive(x, tol)`` when the caller already holds
-    it; it is computed here when absent.
-    """
-    x = symmetrize(x)
-    if verdict is None:
-        verdict = is_copositive(x, tol)
-    if len(verdict.argmin) != x.shape[0]:
-        raise ValueError(f"verdict of order {len(verdict.argmin)} for x of order {x.shape[0]}")
-    if not verdict.member:
-        raise ZeroStructureError(
-            f"matrix is not copositive (min {verdict.min_value:.3e}); "
-            "zero structure undefined"
-        )
-    return verdict.zeros
-
-
 def _maximal_cliques(n: int, adj: list[set]) -> list[tuple[int, ...]]:
     """Bron-Kerbosch with pivoting on the compatibility graph."""
     cliques: list[tuple[int, ...]] = []
@@ -128,12 +87,14 @@ def _maximal_cliques(n: int, adj: list[set]) -> list[tuple[int, ...]]:
     return cliques
 
 
-def partition_blocks(vertices: list, contact_sets: list, tol: Tolerances = Tolerances()):
+def partition_blocks(vertices: list, contact_sets: list):
     """Blocks J(s) and their supports P_*(s), as ``(blocks, supports)``.
 
     The blocks are the maximal cliques of the compatibility graph, edge
     {i, j} iff supp(tau(i)) <= M(j) and supp(tau(j)) <= M(i); P_*(s) is
-    the union of its members' supports.  Cover conditions a) and b) hold
+    the union of its members' supports, each support read exactly as the
+    nonzero entries of tau, which the sweep of :func:`is_copositive` leaves
+    exactly 0.0 off its face.  Cover conditions a) and b) hold
     by construction: a) since every vertex lies in some maximal clique,
     b) since clique members are pairwise compatible and the sweep of
     :func:`is_copositive` keeps no tau with supp(tau) not in M(tau).
@@ -144,7 +105,7 @@ def partition_blocks(vertices: list, contact_sets: list, tol: Tolerances = Toler
     maximal clique contains another.
     """
     n = len(vertices)
-    supp = [set(support_of(v, tol)) for v in vertices]
+    supp = [set(np.flatnonzero(v).tolist()) for v in vertices]
     contact = [set(m) for m in contact_sets]
     adj = [set() for _ in range(n)]
     for i in range(n):
@@ -181,14 +142,39 @@ def compute_zero_structure(x: np.ndarray, tol: Tolerances = Tolerances(),
     """Full pipeline: vertices, contact sets, blocks, supports, bases.
 
     ``verdict`` is ``is_copositive(x, tol)``, computed here when absent;
-    its ``zeros`` and ``contact_sets`` are the vertices and contact sets.
+    its ``zeros`` and ``contact_sets`` are the vertices of conv T_a(X) and
+    their contact sets, in its order.  A verdict of another order raises
+    ValueError, a non-copositive X :class:`ZeroStructureError`.
+
+    For a zero tau of X with support I these are equivalent: (a) tau is a
+    vertex; (b) ker X_I = span(v), v > 0; (c) the KKT system 2 X_I t = lam 1,
+    1't = 1 has a unique solution, strictly positive and of value 0.  So the
+    vertices are the faces of (c) that :func:`is_copositive` keeps from its
+    sweep (it tests (b) at psd_tol, and the zero and sign rules on X tau at
+    zero_tol, see its docstring).  They have distinct supports and entries
+    above zero_tol, so no two coincide.
+
+    (a) => (b): X tau >= 0 and tau'X tau = 0 give X_I tau_I = 0; a w != 0
+    in ker X_I with 1'w = 0 would make tau the midpoint of zeros tau +- eps w.
+    (b) => (a): if tau = sum lam_j t_j (lam_j > 0, t_j zeros), supp(t_j) is
+    in I, and X t_j >= 0 with (X tau)_I = 0 gives (X t_j)_I = 0: t_j = tau.
+    (b) <=> (c): two solutions differ by some (w, mu), 2 X_I w = mu 1,
+    1'w = 0.  Under (b), v'(2 X_I w) = 0 gives mu = 0, so w is in span(v),
+    w = 0, and v / 1'v solves it with lam = 0.  Under (c), lam = 2 t'X_I t
+    = 0 gives X_I t = 0, and a w in ker X_I with 1'w = 0 would give t + w.
     """
     x = symmetrize(x)
     if verdict is None:
         verdict = is_copositive(x, tol)
-    vertices = enumerate_zero_vertices(x, tol, verdict)
-    contact_sets = verdict.contact_sets
-    blocks, supports = partition_blocks(vertices, contact_sets, tol)
+    if len(verdict.argmin) != x.shape[0]:
+        raise ValueError(f"verdict of order {len(verdict.argmin)} for x of order {x.shape[0]}")
+    if not verdict.member:
+        raise ZeroStructureError(
+            f"matrix is not copositive (min {verdict.min_value:.3e}); "
+            "zero structure undefined"
+        )
+    vertices, contact_sets = verdict.zeros, verdict.contact_sets
+    blocks, supports = partition_blocks(vertices, contact_sets)
     return ZeroStructure(
         x=x,
         vertices=vertices,

@@ -35,7 +35,7 @@ from copcomp.paperlab import (
     run_scenario,
 )
 from copcomp.symcore import Tolerances, kernel_basis, svec, sym_kron
-from copcomp.zerostruct import compute_zero_structure, enumerate_zero_vertices
+from copcomp.zerostruct import compute_zero_structure
 
 TOL = Tolerances()
 
@@ -237,7 +237,7 @@ def test_criterion_4_property_suite(announce):
         rng_c = np.random.default_rng(20240902)
         for _ in range(50):
             x, _ = _structured_instance(rng_c)
-            vertices = enumerate_zero_vertices(x, TOL)
+            vertices = is_copositive(x, TOL).zeros
             assert vertices
             _, arg = simplex_min_oracle(x, grid_depth=12)
             assert _hull_distance(arg, vertices) <= 1e-4
@@ -284,7 +284,7 @@ def test_criterion_4_property_suite(announce):
             cols += [rng_e.standard_normal(p) for _ in range(k - 1)]
             q, _ = np.linalg.qr(np.column_stack(cols))
             x = np.eye(p) - q @ q.T
-            vertices = enumerate_zero_vertices(x, TOL)
+            vertices = is_copositive(x, TOL).zeros
             assert vertices
             vt = np.column_stack(vertices)
             uu, ss, _ = np.linalg.svd(vt, full_matrices=False)

@@ -405,7 +405,7 @@ def _named_pair(pair):
 
 def test_analyze_sweeps_supports_once_without_face_lps(tmp_path, capsys,
                                                        monkeypatch):
-    calls = {"is_copositive": 0, "principal_blocks": 0}
+    calls = {"is_copositive": 0, "_sweep": 0}
 
     def counting(name, fn):
         def wrapped(*args, **kwargs):
@@ -416,19 +416,15 @@ def test_analyze_sweeps_supports_once_without_face_lps(tmp_path, capsys,
     sweep = counting("is_copositive", cones.is_copositive)
     monkeypatch.setattr(analysis, "is_copositive", sweep)
     monkeypatch.setattr(zerostruct, "is_copositive", sweep)
-    blocks = counting("principal_blocks", cones.principal_blocks)
-    for module in (analysis, complement, cones, zerostruct):
-        if hasattr(module, "principal_blocks"):
-            monkeypatch.setattr(module, "principal_blocks", blocks)
+    monkeypatch.setattr(cones, "_sweep", counting("_sweep", cones._sweep))
     x, u = _padded_hildebrand(8)
     main(["analyze", _write(tmp_path, "x.json", x),
           _write(tmp_path, "u.json", u), "--json"])
     report = json.loads(capsys.readouterr().out)
     assert report["copositive"]["supports_checked"] == 2 ** 8 - 1
     # X = H(theta*) (+) 0_3 splits into H's component and three of order 1:
-    # one block stack per support size 2..5 of H's, and no second sweep for
-    # the zero vertices
-    assert calls == {"is_copositive": 1, "principal_blocks": 4}
+    # one face sweep per component, and no second sweep for the zero vertices
+    assert calls == {"is_copositive": 1, "_sweep": 4}
 
 
 @pytest.mark.parametrize("pair", ["s4", "hildebrand+0_3"])

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import connected_components
 
 from copcomp.cli import main
 from copcomp.complement import cp_membership
@@ -20,7 +21,7 @@ from copcomp.cones import (
 )
 from copcomp.paperlab import build_extremal5
 from copcomp.symcore import Tolerances, save_symmat, symmetrize
-from copcomp.zerostruct import enumerate_zero_vertices
+from copcomp.zerostruct import compute_zero_structure
 
 TOL = Tolerances()
 RNG = np.random.default_rng(20240818)
@@ -279,7 +280,7 @@ def test_zeros_meet_the_kkt_sign_rule(x, vertex):
     # the sweep's zeros are the zero vertices as they are
     x = np.array(x)
     zeros = is_copositive(x, TOL).zeros
-    vertices = enumerate_zero_vertices(x, TOL)
+    vertices = compute_zero_structure(x, TOL).vertices
     assert len(zeros) == len(vertices) == 1
     assert np.array_equal(zeros[0], vertices[0])
     assert np.allclose(zeros[0], vertex, rtol=0.0, atol=1e-9)
@@ -412,15 +413,15 @@ def _direct_sums(n, seed):
 
 
 def test_direct_sum_sweep_matches_the_whole_matrix_sweep():
-    # _sweep on the whole of X / 2^e also solves the faces that meet two
-    # components; sweeping each component on its own must give the same
+    # _sweep over all of X / 2^e as one component also solves the faces
+    # that meet two components; sweeping each on its own must give the same
     # verdict, zeros and contact sets, in coordinate order, and the same
     # minimum to rounding
     kinds = set()
     for x in _direct_sums(120, 7003):
         v = is_copositive(x, TOL)
         xs, e = unit_scale(x)
-        val, _, zeros, contacts = _sweep(xs, TOL)
+        val, _, zeros, contacts = _sweep(xs, np.arange(len(xs)), TOL)
         whole = sorted(zip(zeros, contacts), key=lambda zm: tuple(np.round(zm[0], 12)))
         assert v.member == (val >= -TOL.zero_tol), x
         assert v.supports_checked == 2 ** len(x) - 1
@@ -434,6 +435,59 @@ def test_direct_sum_sweep_matches_the_whole_matrix_sweep():
         assert abs(t @ xs @ t - math.ldexp(v.min_value, -e)) <= 1e-12, x
         kinds.add((v.member, bool(v.zeros), v.min_value > 0.0))
     assert {k[0] for k in kinds} == {k[1] for k in kinds} == {k[2] for k in kinds} == {True, False}
+
+
+def _psd_plus_n_with_zero_rows(n, seed):
+    """Seeded PSD + nonnegative X with zeros: G G' with G orthogonal to a
+    nonnegative v, plus a sparse nonnegative N that vanishes on supp(v),
+    of order 3-7, padded by 1-3 zero rows, under a seeded permutation."""
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        q = int(rng.integers(3, 8))
+        v = rng.uniform(0.2, 1.0, q) * (rng.random(q) < 0.7)
+        v[int(rng.integers(q))] = 1.0
+        g = rng.standard_normal((q, int(rng.integers(1, q))))
+        g -= np.outer(v, v @ g) / (v @ v)
+        nn = rng.uniform(0.0, 1.0, (q, q)) * (rng.random((q, q)) < 0.3)
+        nn[np.ix_(v > 0.0, v > 0.0)] = 0.0
+        p = q + int(rng.integers(1, 4))
+        x = np.zeros((p, p))
+        x[:q, :q] = g @ g.T + nn + nn.T
+        perm = rng.permutation(p)
+        yield x[np.ix_(perm, perm)]
+
+
+def _permuted_hildebrand_plus_zeros():
+    rng = np.random.default_rng(7011)
+    for p in range(8, 13):
+        x = np.zeros((p, p))
+        x[:5, :5] = build_extremal5()["x"]
+        perm = rng.permutation(p)
+        yield x[np.ix_(perm, perm)]
+
+
+@pytest.mark.parametrize("tol", [Tolerances(), Tolerances(1e-6, 1e-6, 1e-6),
+                                 Tolerances(0.5, 0.5, 0.5)],
+                         ids=["default", "1e-6", "0.5"])
+def test_sweep_zeros_have_exact_supports_and_whole_contact_sets(tol):
+    # the invariant that lets a support be read as the nonzero entries:
+    # every zero is exactly 0.0 off its face and above zero_tol on it, the
+    # face lies in one component of X, and its contact set holds every
+    # index outside that component, where X and so X t are exactly 0.0
+    found = across = 0
+    for x in [*_permuted_hildebrand_plus_zeros(), *_psd_plus_n_with_zero_rows(30, 7012)]:
+        _, label = connected_components(x != 0.0, directed=False)
+        v = is_copositive(x, tol)
+        assert v.member
+        for z, m in zip(v.zeros, v.contact_sets, strict=True):
+            face = np.flatnonzero(z)
+            assert np.all((z == 0.0) | (z > tol.zero_tol)), z
+            assert len(set(label[face])) == 1, z
+            outside = np.flatnonzero(label != label[face[0]])
+            assert set(outside.tolist()) <= set(m), (z, m)
+            found += 1
+            across += len(outside) > 0
+    assert found >= 60 and across >= 60
 
 
 def test_direct_sum_of_a_diagonal_is_exact():

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from copcomp.cones import is_copositive
 from copcomp.paperlab import build_extremal5, build_s4
 from copcomp.symcore import (
     NOT_PSD,
@@ -29,7 +30,6 @@ from copcomp.symcore import (
     symmat_to_json,
     symmetrize,
 )
-from copcomp.zerostruct import enumerate_zero_vertices
 
 RNG = np.random.default_rng(20240817)
 
@@ -367,7 +367,7 @@ def _nnls_corpus():
             a = rng.standard_normal((m, n))
             yield f"random{m}x{n}-{k}", a, rng.standard_normal(m)
     h = build_extremal5()
-    taus = enumerate_zero_vertices(h["x"], Tolerances())
+    taus = is_copositive(h["x"], Tolerances()).zeros
     a5 = _subset_family(np.asarray(taus))
     pad = [np.pad(t, (0, 3)) for t in taus] + list(np.eye(8)[5:])
     a8 = _subset_family(np.asarray(pad))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from copcomp.cones import is_copositive, principal_blocks, unit_scale
+from copcomp.cones import is_copositive, unit_scale
 from copcomp.paperlab import (
     THETA_STAR,
     build_extremal5,
@@ -20,11 +20,9 @@ from copcomp.zerostruct import (
     ZeroStructureError,
     basis_subset,
     compute_zero_structure,
-    enumerate_zero_vertices,
     pair_index_set,
     pair_sums,
     partition_blocks,
-    support_of,
 )
 
 TOL = Tolerances()
@@ -69,18 +67,17 @@ def test_entry_points_reject_order_zero(entry_point):
 def test_zero_vertices_reject_a_verdict_of_another_order():
     verdict = is_copositive(np.eye(2), TOL)
     with pytest.raises(ValueError, match="order 2 for x of order 3"):
-        enumerate_zero_vertices(np.eye(3), TOL, verdict)
+        compute_zero_structure(np.eye(3), TOL, verdict)
 
 
 def test_identity_has_empty_zero_set():
-    assert enumerate_zero_vertices(np.eye(3), TOL) == []
     zs = compute_zero_structure(np.eye(3), TOL)
     assert zs.vertices == [] and zs.blocks == []
 
 
 def test_rejects_non_copositive():
     with pytest.raises(ZeroStructureError):
-        enumerate_zero_vertices(np.array([[1.0, -2.0], [-2.0, 1.0]]), TOL)
+        compute_zero_structure(np.array([[1.0, -2.0], [-2.0, 1.0]]), TOL)
 
 
 def test_worked_example_structure():
@@ -122,8 +119,8 @@ def test_scaled_hildebrand_keeps_its_five_zero_vertices(c):
     # puts min(c X tau) near -3e-8, past the bound -zero_tol = -1e-9 on
     # c X itself, and at c = 1e12 |t'(c X)t| reaches 5e-5
     x = build_extremal5()["x"]
-    ref = enumerate_zero_vertices(x, TOL)
-    got = enumerate_zero_vertices(c * x, TOL)
+    ref = is_copositive(x, TOL).zeros
+    got = is_copositive(c * x, TOL).zeros
     assert len(ref) == len(got) == 5
     for t, r in zip(got, ref):
         assert np.max(np.abs(t - r)) <= 1e-12
@@ -156,7 +153,7 @@ def test_scaled_s4_keeps_its_zero_structure(c):
 def test_vertices_satisfy_kkt():
     for builder in (build_s4, build_extremal5):
         x = builder()["x"]
-        for v in enumerate_zero_vertices(x, TOL):
+        for v in is_copositive(x, TOL).zeros:
             assert abs(v @ x @ v) <= TOL.zero_tol
             assert np.min(x @ v) >= -10 * TOL.zero_tol
             assert np.isclose(v.sum(), 1.0) and v.min() >= 0.0
@@ -165,7 +162,7 @@ def test_vertices_satisfy_kkt():
 def test_blocks_are_maximal_and_condition_b():
     data = build_s4()
     zs = compute_zero_structure(data["x"], TOL)
-    supp = [set(support_of(v, TOL)) for v in zs.vertices]
+    supp = [set(np.flatnonzero(v).tolist()) for v in zs.vertices]
     contact = [set(m) for m in zs.contact_sets]
     for s, block in enumerate(zs.blocks):
         union = set().union(*[supp[j] for j in block])
@@ -186,13 +183,13 @@ def test_condition_c_witnesses_recorded():
     assert len(zs.blocks) == 2
     for a, b in itertools.permutations(map(set, zs.blocks)):
         for i0 in a - b:
-            assert any(set(support_of(zs.vertices[i0], TOL)) - set(zs.contact_sets[j0])
+            assert any(set(np.flatnonzero(zs.vertices[i0]).tolist()) - set(zs.contact_sets[j0])
                        for j0 in b - a)
 
 
 def test_partition_blocks_single_vertex():
     v = [np.array([0.5, 0.5, 0.0])]
-    assert partition_blocks(v, [(0, 1, 2)], TOL) == ([(0,)], [(0, 1)])
+    assert partition_blocks(v, [(0, 1, 2)]) == ([(0,)], [(0, 1)])
 
 
 def test_partition_blocks_raises_on_condition_c():
@@ -200,7 +197,7 @@ def test_partition_blocks_raises_on_condition_c():
     supp e1 lies in M(e2) = {1, 2}: no witness separates {e1} from {e2}."""
     e = np.eye(2)
     with pytest.raises(ZeroStructureError, match="condition-c"):
-        partition_blocks([e[0], e[1]], [(0,), (0, 1)], TOL)
+        partition_blocks([e[0], e[1]], [(0,), (0, 1)])
 
 
 def _maximal_compatible_sets(supp, contact):
@@ -233,14 +230,14 @@ def test_partition_blocks_cover_and_condition_b_by_construction():
             vertices.append(v / v.sum())
             extra = np.flatnonzero(rng.random(p) < 0.5)
             contact_sets.append(tuple(sorted(set(s) | set(extra))))
-        supp = [set(support_of(v, TOL)) for v in vertices]
+        supp = [set(np.flatnonzero(v).tolist()) for v in vertices]
         contact = [set(m) for m in contact_sets]
         reference = _maximal_compatible_sets(supp, contact)
         if not _condition_c_holds(reference, supp, contact):
             with pytest.raises(ZeroStructureError):
-                partition_blocks(vertices, contact_sets, TOL)
+                partition_blocks(vertices, contact_sets)
             continue
-        blocks, supports = partition_blocks(vertices, contact_sets, TOL)
+        blocks, supports = partition_blocks(vertices, contact_sets)
         assert blocks == reference
         assert set().union(*map(set, blocks)) == set(range(n))
         for block, ps in zip(blocks, supports, strict=True):
@@ -298,7 +295,7 @@ def test_oracle_agreement_on_structured_matrices():
     rng = np.random.default_rng(20240820)
     for _ in range(50):
         x, t_star = _structured_instance(rng)
-        vertices = enumerate_zero_vertices(x, TOL)
+        vertices = is_copositive(x, TOL).zeros
         assert vertices, "prescribed zero guarantees a nonempty zero set"
         for v in vertices:
             assert abs(v @ x @ v) <= 10 * TOL.zero_tol
@@ -319,7 +316,7 @@ def test_kernel_span_property():
         cols += [rng.standard_normal(p) for _ in range(k - 1)]
         q, _ = np.linalg.qr(np.column_stack(cols))
         x = np.eye(p) - q @ q.T
-        vertices = enumerate_zero_vertices(x, TOL)
+        vertices = is_copositive(x, TOL).zeros
         assert vertices
         vt = np.column_stack(vertices)
         uu, ss, _ = np.linalg.svd(vt, full_matrices=False)
@@ -373,9 +370,9 @@ def test_sweeps_are_permutation_equivariant(name, seed):
     assert v.member == v0.member
     assert v.supports_checked == v0.supports_checked
     assert abs(v.min_value - v0.min_value) <= 1e-12
-    expected = enumerate_zero_vertices(x, TOL, v0)
+    expected = v0.zeros
     back = []
-    for t in enumerate_zero_vertices(x[np.ix_(perm, perm)], TOL, v):
+    for t in v.zeros:
         b = np.zeros_like(t)
         b[perm] = t
         back.append(b)
@@ -384,7 +381,7 @@ def test_sweeps_are_permutation_equivariant(name, seed):
     # coordinates agree to 1e-12 and the supports exactly
     assert len(back) == len(expected)
     for b, t in zip(back, expected):
-        assert support_of(b, TOL) == support_of(t, TOL)
+        assert np.array_equal(np.flatnonzero(b), np.flatnonzero(t))
         assert np.max(np.abs(b - t)) <= 1e-12
 
 
@@ -454,7 +451,8 @@ def _kernel_scan_vertices(x, tol):
     x = x / 2.0 ** round(np.log2(amax)) if amax > 0.0 else x
     out = []
     for size in range(1, p + 1):
-        supports, xi = principal_blocks(x, size)
+        supports = np.array(list(itertools.combinations(range(p), size)))
+        xi = x[supports[:, :, None], supports[:, None, :]]
         lam, vecs = np.linalg.eigh(xi)
         null = null_eigenvalues(lam, tol)
         for m in np.nonzero(np.count_nonzero(null, axis=1) == 1)[0]:
@@ -473,14 +471,15 @@ def _kernel_scan_vertices(x, tol):
 
 
 def test_zero_vertices_are_hull_vertices():
-    # independent oracles for the vertex argument in enumerate_zero_vertices:
+    # independent oracles for the vertex argument in compute_zero_structure:
     # the kernel scan finds the same vertices, and no returned vertex lies
     # in the convex hull of the others; the sweep keeps no other point.
     # Each contact set holds supp(tau) and is read from X tau on X / 2^e
     lps = 0
     for x in _copositive_corpus():
         verdict = is_copositive(x, TOL)
-        vertices = enumerate_zero_vertices(x, TOL, verdict)
+        assert verdict.member
+        vertices = compute_zero_structure(x, TOL, verdict).vertices
         assert len(verdict.zeros) == len(vertices) == len(verdict.contact_sets)
         ref = _kernel_scan_vertices(x, TOL)
         assert len(vertices) == len(ref)
@@ -488,7 +487,7 @@ def test_zero_vertices_are_hull_vertices():
             assert np.max(np.abs(t - r)) <= 1e-12
         xs, _ = unit_scale(x)
         for t, m in zip(vertices, verdict.contact_sets):
-            assert set(support_of(t, TOL)) <= set(m)
+            assert set(np.flatnonzero(t).tolist()) <= set(m)
             assert m == tuple(np.flatnonzero(np.abs(xs @ t) <= TOL.zero_tol).tolist())
         for i, t in enumerate(vertices):
             others = vertices[:i] + vertices[i + 1:]
@@ -503,7 +502,7 @@ def test_numerically_zero_block_has_one_zero_vertex():
     # e2 at any scale, so only e3 is a zero vertex
     x = 1.9721522630525295e-31 * np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0],
                                            [0.0, 0.0, 0.0]])
-    vertices = enumerate_zero_vertices(x, TOL)
+    vertices = is_copositive(x, TOL).zeros
     assert len(vertices) == 1 and np.array_equal(vertices[0], [0.0, 0.0, 1.0])
 
 
@@ -530,4 +529,4 @@ def test_power_of_two_scaling_is_exact():
             assert zs.supports == zs0.supports and zs.basis == zs0.basis
     # positive definite at every scale: no zeros, not even at 2^-100
     assert is_copositive(np.ldexp(pd, -100), TOL).zeros == []
-    assert enumerate_zero_vertices(np.ldexp(pd, -100), TOL) == []
+    assert compute_zero_structure(np.ldexp(pd, -100), TOL).vertices == []
