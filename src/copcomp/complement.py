@@ -1,11 +1,11 @@
 """Analysis of a complementary pair (X0, U0).
 
-Restriction/embedding between full and block coordinates, the one
+The embedding of block coordinates into full ones, the one
 completely-positive test (a nonnegative least-squares fit over subset
-sums of generators, shared by the dual decomposition of U0 over the zero
-structure of X0 and by the backward path check), the three
-non-degeneracy assumption checkers, the derived conditions i)-iii), and
-positive factorization of the restricted blocks.
+sums of generators, shared by the dual decomposition of U0 into the
+blocks W0(s) on the supports P_*(s) of the zero structure of X0 and by
+the path checks), the three non-degeneracy assumption checkers, the
+derived conditions i)-iii), and positive factorization of the blocks.
 """
 
 from __future__ import annotations
@@ -64,18 +64,12 @@ class Verdict:
 
 @dataclass
 class DualDecomposition:
-    """Component matrices U0(s) realizing U0 = sum_s U0(s) over the blocks."""
+    """Blocks W0(s) on the supports P_*(s) realizing
+    U0 = sum_s embed(W0(s), P_*(s), p), with the fit that produced them."""
 
-    components: list  # full p x p matrices, supported on P_*(s) x P_*(s)
     restricted: list  # W0(s) of order p(s)
     coefficients: list  # per block: {vertex subset: positive NNLS weight}
     residual: float
-    basis_rank: int  # rank of the basis-pair family (Assumption jj's)
-    basis_pairs: int  # its size; the grouping is unique iff they agree
-
-    @property
-    def unique(self) -> bool:
-        return self.basis_rank == self.basis_pairs
 
     def to_json(self) -> dict:
         return {
@@ -101,12 +95,6 @@ class AssumptionReport:
     def to_json(self) -> dict:
         return {name: getattr(self, name).to_json()
                 for name in ("j", "jj", "jjj", "cond_i", "cond_ii", "cond_iii")}
-
-
-def restrict(x: np.ndarray, support) -> np.ndarray:
-    """Principal submatrix on the block support (ascending order kept)."""
-    idx = np.asarray(sorted(support))
-    return np.asarray(x, dtype=float)[np.ix_(idx, idx)]
 
 
 def embed(w: np.ndarray, support, p: int) -> np.ndarray:
@@ -164,8 +152,10 @@ def face_nnls(vectors, groups, target):
     with index permutation and with positive or scalar scaling.  The fit
     reads target / 2^e (:func:`unit_scale`), so no norm in it overflows,
     and maps its weights and residual back exactly.  Returns per group the
-    sum w g g' and the positive weights {combo: w}, and the residual
-    ||fit - target||_F, the norm of the svec fit (an isometry).
+    sum w g g' on the group's support, the ascending union of its vectors'
+    nonzero entries read before any vector leaves it (for a block, P_*(s)),
+    and the positive weights {combo: w}, and the residual ||fit - target||_F,
+    the norm of the svec fit (an isometry).
     """
     target = np.asarray(target, dtype=float)
     vectors = np.asarray(vectors, dtype=float)
@@ -173,6 +163,8 @@ def face_nnls(vectors, groups, target):
         raise ValueError(f"vectors of length {vectors.shape[-1]} do not match "
                          f"a target of order {len(target)}")
     vectors = vectors.reshape(-1, len(target))
+    supports = [np.flatnonzero(np.any(vectors[sorted(g)] != 0.0, axis=0))
+                for g in groups]
     zero, pos = target == 0.0, vectors > 0.0
     groups = [[j for j in sorted(g) if not zero[np.ix_(pos[j], pos[j])].any()]
               for g in groups]
@@ -185,14 +177,15 @@ def face_nnls(vectors, groups, target):
         weights[keep], _ = nnls(np.ascontiguousarray(cols[:, keep]), b)
     residual = float(np.ldexp(np.linalg.norm(cols @ weights - b), e))
     weights = np.ldexp(weights, e)
-    components = [np.zeros(target.shape) for _ in groups]
+    blocks = [np.zeros((len(ps), len(ps))) for ps in supports]
     coefficients = [dict() for _ in groups]
     for weight, (s, combo), g in zip(weights, labels, gens):
         if weight == 0.0:
             continue  # NNLS leaves most subset weights at exactly zero
-        components[s] += weight * np.outer(g, g)
+        h = g[supports[s]]
+        blocks[s] += weight * np.outer(h, h)
         coefficients[s][combo] = float(weight)
-    return components, coefficients, residual
+    return blocks, coefficients, residual
 
 
 @dataclass
@@ -223,38 +216,25 @@ def cp_membership(u: np.ndarray, generators, tol: Tolerances = Tolerances()) -> 
     return CpCertificate(residual <= tol.zero_tol or (len(u) <= 4 and dnn), residual, dnn)
 
 
-def _basis_pair_rank(zs: ZeroStructure, tol: Tolerances) -> tuple[int, int]:
-    """Rank and size of the basis-pair family {(tau(i)+tau(j))(tau(i)+tau(j))'
-    : i <= j in J_b(s)}, whose independence is Assumption jj."""
-    gens = [g for jb in zs.basis for g in pair_sums(zs.vertices, jb)]
-    return rank_of_vectors(outer_columns(gens).T, tol), len(gens)
-
-
 def decompose_dual(u: np.ndarray, zs: ZeroStructure, tol: Tolerances = Tolerances()) -> DualDecomposition:
     """Nonnegative least squares of U over the pooled subset-sum
     generators on the face of U (:func:`face_nnls`: a generator with
     g g' > 0 where U is exactly 0 gets weight 0), grouped by block into
-    the components U0(s).  Uniqueness of the grouping follows from
-    independence of the basis-pair generators, so the decomposition
-    carries the rank of that family, which Assumption jj reports as well;
-    without it the components are one representative, which can depend
-    on the index order."""
+    the W0(s) on the supports P_*(s)."""
     u = symmetrize(u)
     if abs(float(np.tensordot(zs.x, u))) > tol.slack:
         raise ComplementError("X . U exceeds tolerance; pair is not complementary")
     if not zs.blocks:
         if np.linalg.norm(u) > tol.zero_tol:
             raise ComplementError("empty zero set admits only U = 0")
-        return DualDecomposition([], [], [], 0.0, 0, 0)
-    components, coefficients, residual = face_nnls(zs.vertices, zs.blocks, u)
+        return DualDecomposition([], [], 0.0)
+    restricted, coefficients, residual = face_nnls(zs.vertices, zs.blocks, u)
     if residual > tol.slack:
         raise ComplementError(
             f"U is not representable over the zero-set generators "
             f"(residual {residual:.3e}); not complementary to X in CP"
         )
-    restricted = [restrict(components[s], zs.supports[s]) for s in range(len(zs.blocks))]
-    return DualDecomposition(components, restricted, coefficients, residual,
-                             *_basis_pair_rank(zs, tol))
+    return DualDecomposition(restricted, coefficients, residual)
 
 
 def _strictness_lp(w_restricted: np.ndarray, bars: list[np.ndarray], slack: float):
@@ -315,12 +295,6 @@ def check_assumption_j(zs: ZeroStructure, dd: DualDecomposition, tol: Tolerances
         elif status == PASS:
             status = UNKNOWN
     return Verdict(status, {"blocks": per_block, "delta_strict": DELTA_STRICT})
-
-
-def check_assumption_jj(dd: DualDecomposition) -> Verdict:
-    """Linear independence of the basis-pair rank-one matrices."""
-    status = PASS if dd.unique else FAIL
-    return Verdict(status, {"rank": dd.basis_rank, "expected": dd.basis_pairs})
 
 
 def check_assumption_jjj(zs: ZeroStructure) -> Verdict:
@@ -390,9 +364,7 @@ def positive_factorization(w: np.ndarray, taus, weights: dict,
 
 def check_conditions(zs: ZeroStructure, dd: DualDecomposition,
                      tol: Tolerances = Tolerances()):
-    """Conditions i)-iii): uniqueness, positive factorization, PSD structure."""
-    cond_i = Verdict(PASS if dd.unique else FAIL, {"unique": dd.unique})
-
+    """Conditions ii) and iii): positive factorization, PSD structure."""
     factor_info = []
     status_ii = PASS
     for s, support in enumerate(zs.supports):
@@ -409,7 +381,8 @@ def check_conditions(zs: ZeroStructure, dd: DualDecomposition,
     status_iii = PASS
     iii_info = []
     for s in range(len(zs.blocks)):
-        xs = restrict(zs.x, zs.supports[s])
+        ps = zs.supports[s]
+        xs = zs.x[np.ix_(ps, ps)]
         ws = dd.restricted[s]
         vx, lx = psd_status(xs, tol)
         vw, lw = psd_status(ws, tol)
@@ -420,16 +393,27 @@ def check_conditions(zs: ZeroStructure, dd: DualDecomposition,
         iii_info.append({"block": s + 1, "x": (vx, lx), "w": (vw, lw),
                          "sum": (vs, ls)})
     cond_iii = Verdict(status_iii, {"blocks": iii_info})
-    return cond_i, cond_ii, cond_iii
+    return cond_ii, cond_iii
 
 
 def check_assumptions(zs: ZeroStructure, dd: DualDecomposition,
                       tol: Tolerances = Tolerances()) -> AssumptionReport:
-    """Assumptions j)-jjj) and conditions i)-iii); decompose_dual gated the pair."""
+    """Assumptions j)-jjj) and conditions i)-iii); decompose_dual gated the pair.
+
+    Assumption jj) and condition i) read one rank, that of the basis-pair
+    family {(tau(i)+tau(j))(tau(i)+tau(j))' : i <= j in J_b(s)}, a fact of
+    X's zero structure alone.  Uniqueness of the grouping of U into the
+    W0(s) follows from independence of that family; without it the W0(s)
+    are one representative, which can depend on the index order.
+    """
     jjj = check_assumption_jjj(zs)
-    jj = check_assumption_jj(dd)
+    gens = [g for jb in zs.basis for g in pair_sums(zs.vertices, jb)]
+    rank = rank_of_vectors(outer_columns(gens).T, tol)
+    unique = rank == len(gens)
+    jj = Verdict(PASS if unique else FAIL, {"rank": rank, "expected": len(gens)})
     j = check_assumption_j(zs, dd, tol)
-    cond_i, cond_ii, cond_iii = check_conditions(zs, dd, tol)
+    cond_i = Verdict(PASS if unique else FAIL, {"unique": unique})
+    cond_ii, cond_iii = check_conditions(zs, dd, tol)
     return AssumptionReport(j=j, jj=jj, jjj=jjj,
                             cond_i=cond_i, cond_ii=cond_ii, cond_iii=cond_iii)
 

@@ -150,12 +150,13 @@ def is_copositive(x: np.ndarray, tol: Tolerances = Tolerances()) -> CopVerdict:
     combine exactly: t = sum a_k t_k gives t'Xt = sum a_k^2 t_k'X t_k,
     so the minimum is min_k m_k when that is <= 0, attained at that
     component's minimizer, and otherwise 1 / sum_k (1/m_k), attained at
-    sum_k s_k t_k with s_k proportional to 1/m_k.  No face is lost: a face I meeting two components has
-    X_I = X_I1 (+) X_I2, its value sum a_k^2 q_k is never below that
-    minimum, and it yields no zero, since a zero has lam = 0, so t would
-    vanish on a nonsingular part, and with both parts singular X_I has two
-    null eigenvalues.  ``supports_checked`` counts the 2^p - 1 supports
-    so decided, not the faces solved.
+    sum_k s_k t_k with s_k proportional to 1/m_k.  No face is lost: a
+    face I meeting two components has X_I = X_I1 (+) X_I2, its value
+    sum a_k^2 q_k is never below that minimum, and it yields no zero,
+    since a zero has lam = 0, so t would vanish on a nonsingular part, and
+    with both parts singular X_I has two null eigenvalues.
+    ``supports_checked`` counts the 2^p - 1 supports so decided, not the
+    faces solved.
 
     A face I is solved only when its KKT system 2 X_I t = lam * 1,
     sum(t) = 1 has a unique solution: its bordered matrix has full

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cones import is_copositive
-from .complement import DualDecomposition, cp_membership, embed, face_nnls, restrict
+from .complement import DualDecomposition, cp_membership, embed, face_nnls
 from .symcore import (
     NOT_PSD,
     PSD_INTERIOR,
@@ -224,8 +224,7 @@ def verify_forward(x_path: list, u_path: list, zs: ZeroStructure,
         if comp > tol.slack:
             raise ValueError(
                 f"path point {k} is not complementary (X . U = {comp:.3e})")
-        comps, _, fit_residual = face_nnls(zs.vertices, zs.blocks, u_eps)
-        ws = [restrict(c, ps) for c, ps in zip(comps, sys.supports)]
+        ws, _, fit_residual = face_nnls(zs.vertices, zs.blocks, u_eps)
         anti, u_fit = _path_point(sys, x_eps, ws)
         recon = float(np.linalg.norm(u_fit - u_eps))
         reports.append({

@@ -15,7 +15,7 @@ import numpy as np
 
 from .analysis import Analysis, analyze
 from .cones import is_copositive
-from .complement import FAIL, PASS, cp_membership
+from .complement import FAIL, PASS, cp_membership, embed
 from .defeq import residual, verify_forward
 from .symcore import Tolerances, psd_status, symmetrize
 
@@ -115,8 +115,8 @@ def _s4_expectations(data, anchor: Analysis, tol: Tolerances) -> list[dict]:
                len(zs.blocks) == 2 and _support_sets(zs) == {(1, 2), (2, 3)},
                f"supports {sorted(_support_sets(zs))}"),
     ]
-    by_support = {tuple(k + 1 for k in ps): comp
-                  for ps, comp in zip(zs.supports, dd.components)}
+    by_support = {tuple(k + 1 for k in ps): embed(w, ps, zs.p)
+                  for ps, w in zip(zs.supports, dd.restricted)}
     comp_ok = (
         (1, 2) in by_support and (2, 3) in by_support
         and np.linalg.norm(by_support[(1, 2)] - np.outer(b, b)) <= 1e-10

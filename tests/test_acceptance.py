@@ -9,7 +9,7 @@ import pytest
 from scipy.optimize import linprog
 
 from copcomp.complement import (FAIL, PASS, check_assumptions, cp_membership,
-                                decompose_dual)
+                                decompose_dual, embed)
 from copcomp.cones import doubly_nonnegative, is_copositive
 from copcomp.defeq import (
     NO_CONVERGENCE,
@@ -73,7 +73,7 @@ def test_criterion_1_worked_example(announce):
         assert len(zs.blocks) == 2
         assert sorted(zs.supports) == [(0, 1), (1, 2)]
         dd = decompose_dual(data["u"], zs, TOL)
-        by_support = {ps: c for ps, c in zip(zs.supports, dd.components)}
+        by_support = {ps: embed(w, ps, 3) for ps, w in zip(zs.supports, dd.restricted)}
         assert np.linalg.norm(by_support[(0, 1)]
                               - np.outer(data["b"], data["b"])) <= 1e-10
         assert np.linalg.norm(by_support[(1, 2)]

@@ -15,7 +15,7 @@ from copcomp.cli import SCHEMA, main
 from copcomp.cones import EXACT_COPOSITIVITY_LIMIT
 from copcomp.paperlab import (SCENARIOS, build_extremal5, build_pp4z_j,
                                build_s4, scenario_names)
-from copcomp.defeq import DefiningSystem, rank_certificate
+from copcomp.defeq import DefiningSystem, rank_certificate, reconstruct_U
 from copcomp.symcore import Tolerances, svec, symmat_from_json, symmat_to_json
 
 
@@ -563,7 +563,7 @@ def _anchor_from_report(report):
 @pytest.mark.parametrize("pair", ["s4", "hildebrand+0_3"])
 def test_analyze_report_states_each_fact_once(tmp_path, capsys, pair):
     # the report is self-sufficient: the defining system, its anchor and
-    # the zero-padded components follow from the sections it keeps
+    # U itself follow from the sections it keeps
     x, u = _named_pair(pair)
     main(["analyze", _write(tmp_path, "x.json", x),
           _write(tmp_path, "u.json", u), "--json"])
@@ -579,14 +579,15 @@ def test_analyze_report_states_each_fact_once(tmp_path, capsys, pair):
     tol = Tolerances(**report["tolerances"])
     cert = rank_certificate(system, _anchor_from_report(report), tol)
     assert cert.to_json() == report["rank_certificate"]
-    # each component is restricted[s] on P*(s) x P*(s) and 0 elsewhere
+    # the report's W0(s) are the decomposition's, bit for bit, and placed
+    # on their P*(s) they sum to U
     x_in = symmat_from_json(report["inputs"]["x"])
-    dd = complement.decompose_dual(symmat_from_json(report["inputs"]["u"]),
-                                   zerostruct.compute_zero_structure(x_in, tol),
+    u_in = symmat_from_json(report["inputs"]["u"])
+    dd = complement.decompose_dual(u_in, zerostruct.compute_zero_structure(x_in, tol),
                                    tol)
-    for comp, w, ps in zip(dd.components, dec["restricted"], supports,
-                           strict=True):
-        assert np.array_equal(complement.embed(w, ps, zsj["p"]), comp)
+    for w, ref in zip(dec["restricted"], dd.restricted, strict=True):
+        assert np.array_equal(np.asarray(w), ref)
+    assert np.max(np.abs(reconstruct_U(system, dd.restricted) - u_in)) <= tol.slack
     a = report["assumptions"]
     assert (a["jj"]["status"] == "PASS") == a["cond_i"]["certificate"]["unique"]
 

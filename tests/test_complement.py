@@ -9,6 +9,7 @@ from copcomp.complement import (
     PASS,
     UNKNOWN,
     ComplementError,
+    DualDecomposition,
     _strictness_lp,
     _subset_columns,
     check_assumption_j,
@@ -17,7 +18,6 @@ from copcomp.complement import (
     embed,
     face_nnls,
     positive_factorization,
-    restrict,
 )
 from copcomp.paperlab import (
     SCENARIOS,
@@ -31,6 +31,8 @@ from copcomp.paperlab import (
 from scipy.optimize import linprog as scipy_linprog
 from scipy.optimize import nnls
 
+from copcomp.analysis import analyze
+from copcomp.defeq import build_system, rank_certificate, reconstruct_U
 from copcomp.symcore import Tolerances, svec
 from copcomp.zerostruct import compute_zero_structure, pair_sums
 
@@ -38,22 +40,22 @@ TOL = Tolerances()
 RNG = np.random.default_rng(20240822)
 
 
-def test_restrict_embed_roundtrip():
-    x = RNG.standard_normal((4, 4))
-    x = 0.5 * (x + x.T)
+def _horn_pair():
+    """The Horn matrix and U = sum_i (e_i + e_i+1)(e_i + e_i+1)', indices mod 5."""
+    x = np.array([[1, -1, 1, 1, -1], [-1, 1, -1, 1, 1], [1, -1, 1, -1, 1],
+                  [1, 1, -1, 1, -1], [-1, 1, 1, -1, 1]], dtype=float)
+    e = np.eye(5)
+    gs = [e[i] + e[(i + 1) % 5] for i in range(5)]
+    return x, sum(np.outer(g, g) for g in gs)
+
+
+def test_embed_roundtrip():
+    w = RNG.standard_normal((3, 3))
+    w = 0.5 * (w + w.T)
     support = (0, 2, 3)
-    w = restrict(x, support)
-    assert w.shape == (3, 3)
     back = embed(w, support, 4)
-    assert np.allclose(restrict(back, support), w)
+    assert np.array_equal(back[np.ix_(support, support)], w)
     assert back[1, :].sum() == 0.0 and back[:, 1].sum() == 0.0
-
-
-def test_restrict_worked_example_blocks():
-    x = build_s4()["x"]
-    expect = np.array([[1.0, -1.0], [-1.0, 1.0]])
-    assert np.allclose(restrict(x, (0, 1)), expect)
-    assert np.allclose(restrict(x, (1, 2)), expect)
 
 
 def test_embed_order_mismatch():
@@ -67,7 +69,7 @@ def test_trace_identity():
     w = 0.5 * (w + w.T)
     support = (1, 2)
     assert np.isclose(float(np.tensordot(x, embed(w, support, 3))),
-                      float(np.tensordot(restrict(x, support), w)))
+                      float(np.tensordot(x[np.ix_(support, support)], w)))
 
 
 def test_decompose_worked_example():
@@ -75,24 +77,22 @@ def test_decompose_worked_example():
     zs = compute_zero_structure(data["x"], TOL)
     dd = decompose_dual(data["u"], zs, TOL)
     assert dd.residual <= 1e-12
-    assert dd.unique
-    assert np.allclose(sum(dd.components), data["u"], atol=1e-10)
-    by_support = {ps: c for ps, c in zip(zs.supports, dd.components)}
-    assert np.linalg.norm(by_support[(0, 1)]
+    assert check_assumptions(zs, dd, TOL).cond_i.status == PASS
+    # support condition: each W0(s) lives on P*(s) x P*(s) only
+    assert [w.shape for w in dd.restricted] == [(2, 2), (2, 2)]
+    components = {ps: embed(w, ps, 3) for ps, w in zip(zs.supports, dd.restricted)}
+    assert np.allclose(sum(components.values()), data["u"], atol=1e-10)
+    assert np.linalg.norm(components[(0, 1)]
                           - np.outer(data["b"], data["b"])) <= 1e-10
-    assert np.linalg.norm(by_support[(1, 2)]
+    assert np.linalg.norm(components[(1, 2)]
                           - np.outer(data["c"], data["c"])) <= 1e-10
-    # support condition: components vanish off their blocks
-    for ps, c in zip(zs.supports, dd.components):
-        mask = np.ones(3, dtype=bool)
-        mask[list(ps)] = False
-        assert np.all(c[mask, :] == 0.0) and np.all(c[:, mask] == 0.0)
 
 
 def test_decompose_zero_dual():
     zs = compute_zero_structure(build_s4()["x"], TOL)
     dd = decompose_dual(np.zeros((3, 3)), zs, TOL)
-    assert all(np.linalg.norm(c) <= 1e-12 for c in dd.components)
+    assert len(dd.restricted) == 2
+    assert all(np.linalg.norm(w) <= 1e-12 for w in dd.restricted)
 
 
 def test_decompose_rejects_non_complementary():
@@ -104,7 +104,7 @@ def test_decompose_rejects_non_complementary():
 def test_decompose_empty_zero_set():
     zs = compute_zero_structure(np.eye(3), TOL)
     dd = decompose_dual(np.zeros((3, 3)), zs, TOL)
-    assert dd.components == []
+    assert dd == DualDecomposition([], [], 0.0)
     with pytest.raises(ComplementError):
         decompose_dual(np.ones((3, 3)) * 1e-3, zs, TOL)
 
@@ -113,8 +113,8 @@ def test_decompose_single_block_component_is_whole_dual():
     data = build_extremal5()
     zs = compute_zero_structure(data["x"], TOL)
     dd = decompose_dual(data["u"], zs, TOL)
-    assert len(dd.components) == 1
-    assert np.linalg.norm(dd.components[0] - data["u"]) <= 1e-8
+    assert zs.supports == [(0, 1, 2, 3, 4)] and len(dd.restricted) == 1
+    assert np.linalg.norm(dd.restricted[0] - data["u"]) <= 1e-8
 
 
 def test_rank_one_component_beyond_pair_generators():
@@ -147,14 +147,23 @@ def test_subset_columns_match_per_subset_loop():
 
 
 def test_jj_and_cond_i_share_one_rank():
-    data = build_s4()
-    zs = compute_zero_structure(data["x"], TOL)
-    dd = decompose_dual(data["u"], zs, TOL)
-    rep = check_assumptions(zs, dd, TOL)
-    assert rep.jj.certificate == {"rank": dd.basis_rank,
-                                  "expected": dd.basis_pairs}
-    assert rep.cond_i.certificate == {"unique": dd.unique}
-    assert (rep.jj.status == PASS) == dd.unique
+    # one rank of X's zero structure decides both, whatever U is: the
+    # basis-pair family is independent at s4 and dependent at Horn, whose
+    # blocks share vertices
+    s4 = build_s4()
+    seen = set()
+    for x, u in [(s4["x"], s4["u"]), (s4["x"], np.zeros((3, 3))), _horn_pair()]:
+        zs = compute_zero_structure(x, TOL)
+        rep = check_assumptions(zs, decompose_dual(u, zs, TOL), TOL)
+        gens = [g for jb in zs.basis for g in pair_sums(zs.vertices, jb)]
+        rank = np.linalg.matrix_rank(np.column_stack([svec(np.outer(g, g))
+                                                      for g in gens]))
+        unique = bool(rank == len(gens))
+        assert rep.jj.certificate == {"rank": rank, "expected": len(gens)}
+        assert rep.cond_i.certificate == {"unique": unique}
+        assert rep.jj.status == rep.cond_i.status == (PASS if unique else FAIL)
+        seen.add(unique)
+    assert seen == {True, False}
 
 
 def test_assumption_report_worked_example():
@@ -299,7 +308,7 @@ def test_face_nnls_prunes_to_zero_and_matches_full_nnls():
     compared = 0
     for x, u in _face_cases():
         zs = compute_zero_structure(x, TOL)
-        components, coefficients, residual = face_nnls(zs.vertices, zs.blocks, u)
+        blocks, coefficients, residual = face_nnls(zs.vertices, zs.blocks, u)
         labels, gens, cols = _subset_columns(zs.vertices, zs.blocks)
         # a column positive where U is exactly zero gets weight exactly 0
         pruned = np.any(cols[svec(u) == 0.0] > 0.0, axis=0)
@@ -307,14 +316,14 @@ def test_face_nnls_prunes_to_zero_and_matches_full_nnls():
             if cut:
                 assert combo not in coefficients[s]
         assert all(w > 0.0 for c in coefficients for w in c.values())
-        if not decompose_dual(u, zs, TOL).unique:
+        if check_assumptions(zs, decompose_dual(u, zs, TOL), TOL).cond_i.status != PASS:
             continue
         w, _ = nnls(cols, svec(u))
         full = [np.zeros_like(u) for _ in zs.blocks]
         for wt, (s, _), g in zip(w, labels, gens):
             full[s] += wt * np.outer(g, g)
-        for c, f in zip(components, full):
-            assert np.max(np.abs(c - f)) <= 1e-12
+        for b, ps, f in zip(blocks, zs.supports, full, strict=True):
+            assert np.max(np.abs(embed(b, ps, len(u)) - f)) <= 1e-12
         assert abs(residual - np.linalg.norm(cols @ w - svec(u))) <= 1e-12
         compared += 1
     assert compared >= 10
@@ -328,28 +337,65 @@ def test_face_nnls_drops_vertices_on_zero_diagonal():
     x[:5, :5], u[:5, :5] = data["x"], data["u"]
     zs = compute_zero_structure(x, TOL)
     assert len(zs.blocks) == 1 and len(zs.blocks[0]) == 12
-    components, coefficients, residual = face_nnls(zs.vertices, zs.blocks, u)
+    blocks, coefficients, residual = face_nnls(zs.vertices, zs.blocks, u)
     assert residual <= 1e-12
     used = set().union(*coefficients[0])
     assert all(np.all(zs.vertices[j][5:] == 0.0) for j in used)
-    assert np.max(np.abs(components[0] - u)) <= 1e-12
+    # the support is read before e6..e12 leave the block, so W0 stays 12 x 12
+    assert np.max(np.abs(blocks[0] - u)) <= 1e-12
 
 
 def test_face_nnls_of_zero_target_is_empty():
     taus = [np.array([1.0, 0.0]), np.array([0.5, 0.5])]
-    components, coefficients, residual = face_nnls(taus, [(0, 1)],
-                                                   np.zeros((2, 2)))
+    blocks, coefficients, residual = face_nnls(taus, [(0, 1)], np.zeros((2, 2)))
     assert coefficients == [{}] and residual == 0.0
-    assert np.array_equal(components[0], np.zeros((2, 2)))
+    assert np.array_equal(blocks[0], np.zeros((2, 2)))
     assert positive_factorization(np.zeros((2, 2)), taus, coefficients[0],
                                   TOL).shape == (2, 0)
+
+
+def test_face_nnls_blocks_are_the_restricted_full_fit_bit_for_bit():
+    # reference: the p x p sum w g g' over _subset_columns' labels and
+    # generators, with the weights face_nnls returns, cut to P*(s); at the
+    # three path-tracking anchors s4, H(theta*) and H(theta*) + 0_3, and at
+    # Horn, whose blocks overlap
+    s4, h = build_s4(), build_extremal5()
+    for x, u in [(s4["x"], s4["u"]), (h["x"], h["u"]), _padded_hildebrand(8),
+                 _horn_pair()]:
+        zs = compute_zero_structure(x, TOL)
+        blocks, coefficients, _ = face_nnls(zs.vertices, zs.blocks, u)
+        labels, gens, _ = _subset_columns(zs.vertices, zs.blocks)
+        full = [np.zeros_like(u) for _ in zs.blocks]
+        for (s, combo), g in zip(labels, gens):
+            if combo in coefficients[s]:
+                full[s] += coefficients[s][combo] * np.outer(g, g)
+        for w, ps, f in zip(blocks, zs.supports, full, strict=True):
+            assert w.shape == (len(ps), len(ps))
+            assert np.array_equal(w, f[np.ix_(ps, ps)])
+
+
+def test_horn_pair_with_overlapping_blocks_end_to_end():
+    # the five vertices (e_i + e_i+1)/2 form five blocks of two, each on
+    # three indices; a vertex shared by two blocks gives two equal NNLS
+    # columns, so which block carries its weight is left open
+    x, u = _horn_pair()
+    a = analyze(x, u, TOL)
+    assert a.rank is not None  # every stage ran
+    zs, dd = a.zero_structure, a.decomposition
+    e = np.eye(5)
+    found = sorted(tuple(v) for v in zs.vertices)
+    assert found == sorted(tuple((e[i] + e[(i + 1) % 5]) / 2) for i in range(5))
+    assert len(zs.blocks) == 5 and all(len(b) == 2 for b in zs.blocks)
+    assert all(len(ps) == 3 for ps in zs.supports)
+    assert zs.overlapping_blocks
+    assert [w.shape for w in dd.restricted] == [(3, 3)] * 5
+    assert dd.residual <= TOL.slack
+    assert np.max(np.abs(reconstruct_U(a.system, dd.restricted) - u)) <= TOL.slack
 
 
 def test_pairs_with_a_zero_block_component_do_not_raise():
     # U = sum over blocks of c g g' for random vertex-subset sums g, with
     # some blocks left at zero; an empty positive factor reports no entry
-    from copcomp.defeq import build_system, rank_certificate
-
     rng = np.random.default_rng(1234)
     zero_blocks = 0
     for name in ("s4", "hildebrand", "pp3z-jjj", "pp4z-j", "pp4z-jjj",
