@@ -51,8 +51,6 @@ class Verdict:
         def conv(v):
             if isinstance(v, np.ndarray):
                 return v.tolist()
-            if isinstance(v, (np.floating, np.integer)):
-                return v.item()
             if isinstance(v, dict):
                 return {str(k): conv(x) for k, x in v.items()}
             if isinstance(v, (list, tuple)):

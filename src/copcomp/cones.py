@@ -2,9 +2,8 @@
 necessary test for the completely positive one.
 
 The copositivity test is exact at desk scale: it enumerates KKT supports
-of the quadratic t' X t over the standard simplex.  A barycentric grid
-oracle provides an independent cross-check.  CP membership relative to a
-finite generator set is fitted in :mod:`complement`.
+of the quadratic t' X t over the standard simplex.  CP membership relative
+to a finite generator set is fitted in :mod:`complement`.
 """
 
 from __future__ import annotations
@@ -28,6 +27,8 @@ class OrderLimitError(ValueError):
 @dataclass
 class CopVerdict:
     member: bool
+    # min t'Xt over the simplex; on the negative-diagonal short circuit the
+    # least diagonal entry instead, an upper bound on that minimum
     min_value: float
     argmin: np.ndarray
     # simplex vector with t'Xt below the member floor; None for a member
@@ -137,7 +138,9 @@ def is_copositive(x: np.ndarray, tol: Tolerances = Tolerances()) -> CopVerdict:
     times its ``min_value``, the one output mapped back to the units of X.
     Minimizes t'Xt over the simplex by enumerating KKT supports; member
     iff the minimum is >= -zero_tol.  A diagonal entry under that floor
-    short circuits with a coordinate-vector witness.
+    short circuits with a coordinate-vector witness; ``min_value`` then
+    holds that diagonal entry, an upper bound on the simplex minimum, not
+    the minimum itself.
 
     X is first split into the connected components of the graph with an
     edge i-j wherever x_ij != 0.0; the split needs no tolerance, so it
@@ -174,12 +177,11 @@ def is_copositive(x: np.ndarray, tol: Tolerances = Tolerances()) -> CopVerdict:
     A solved face's t goes to ``zeros`` when it is strictly positive (above
     zero_tol), (Xt)_k is within zero_tol of 0 for k in I and >= -zero_tol
     for every k, and X_I has exactly one eigenvalue within delta = psd_tol
-    * max(1, sigma_max) of 0, the rule of ``null_eigenvalues``, sigma_max,
-    sigma_min the extreme singular values of the symmetric [[X_I, 1/2],
-    [1/2', 0]].  The Rayleigh quotient t'X_I t / t't <= delta shows one;
-    sigma_min > delta shows there is no second, as the eigenvalues of X_I
-    interlace those of that matrix, whose moduli are its singular values.
-    With a second, t would be an inner point of an edge of the zero set.
+    * max(1, sigma_max) of 0, sigma_max, sigma_min the extreme singular
+    values of the symmetric [[X_I, 1/2], [1/2', 0]].  The Rayleigh quotient
+    t'X_I t / t't <= delta shows one; sigma_min > delta shows there is no
+    second, as the eigenvalues of X_I interlace those of that matrix, whose
+    moduli are its singular values.  With a second, t would be an inner point of an edge of the zero set.
     The zero rule bounds |t'Xt| = |sum_I t_k (Xt)_k| by zero_tol.  e_k goes
     to ``zeros`` when |x_kk| <= min(psd_tol, zero_tol) and column k of X is
     >= -zero_tol.  The same numbers give each zero's contact set
@@ -230,68 +232,6 @@ def is_copositive(x: np.ndarray, tol: Tolerances = Tolerances()) -> CopVerdict:
     return CopVerdict(member=member, min_value=math.ldexp(best_val, e), argmin=best_t,
                       witness=witness, supports_checked=2 ** p - 1,
                       zeros=[z for z, _ in zeros], contact_sets=[m for _, m in zeros])
-
-
-def _simplex_project(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the standard simplex."""
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - 1.0
-    rho = np.nonzero(u * np.arange(1, len(v) + 1) > css)[0][-1]
-    theta = css[rho] / (rho + 1.0)
-    return np.clip(v - theta, 0.0, None)
-
-
-def simplex_min_oracle(x: np.ndarray, grid_depth: int) -> tuple[float, np.ndarray]:
-    """Upper bound on min t'Xt over the simplex.
-
-    Barycentric grid of mesh 1/grid_depth followed by projected-gradient
-    refinement from the best grid point.
-    """
-    if grid_depth < 1:
-        raise ValueError("grid_depth must be >= 1")
-    x = symmetrize(x)
-    p = x.shape[0]
-    # stars and bars: p - 1 bar positions among grid_depth + p - 1 slots;
-    # the gaps between consecutive bars are the grid point's counts
-    slots = grid_depth + p - 1
-    bars = itertools.combinations(range(slots), p - 1)
-    best_val = np.inf
-    best_t = None
-    while chunk := list(itertools.islice(bars, 4096)):
-        pos = np.array(chunk, dtype=int)
-        tb = (np.diff(pos, axis=1, prepend=-1, append=slots) - 1) / grid_depth
-        vals = np.einsum("ij,jk,ik->i", tb, x, tb)
-        i = int(np.argmin(vals))
-        if vals[i] < best_val:
-            best_val, best_t = float(vals[i]), tb[i]
-
-    # local refinement: projected gradient with exact line search (the
-    # objective is quadratic along any segment, so the best step is
-    # closed-form; this stays fast in flat valleys where a fixed
-    # 1/Lipschitz step crawls)
-    t = best_t.copy()
-    lip = max(1.0, 2.0 * float(np.linalg.norm(x, 2)))
-    for _ in range(500):
-        d = _simplex_project(t - (2.0 * x @ t) / lip) - t
-        if np.linalg.norm(d, ord=np.inf) < 1e-14:
-            break
-        # sum(d) == 0, so feasibility along d is limited only by t >= 0
-        neg = d < -1e-15
-        alpha_max = float(np.min(-t[neg] / d[neg])) if np.any(neg) else 1.0
-        c2 = float(d @ x @ d)
-        c1 = 2.0 * float(t @ x @ d)
-        if c2 > 0.0:
-            alpha = min(alpha_max, max(0.0, -c1 / (2.0 * c2)))
-        else:
-            alpha = alpha_max if c1 + c2 * alpha_max < 0.0 else 0.0
-        if alpha == 0.0:
-            break
-        t = np.clip(t + alpha * d, 0.0, None)
-        t /= t.sum()
-    val = float(t @ x @ t)
-    if val < best_val:
-        best_val, best_t = val, t
-    return best_val, best_t
 
 
 def doubly_nonnegative(u: np.ndarray, tol: Tolerances) -> bool:

@@ -4,8 +4,7 @@ Variable layout z = (svec(X), svec(W(s)), s in S), computed once per
 system, the bi-linear residual of the per-block anticommutator equations,
 the linear reconstruction of U from the W(s), the Jacobian in closed form
 with full-row-rank certification, a local W-solver for perturbed X, and
-the forward/backward path verifiers plus the executable appendix check
-that an anticommuting pair with positive definite sum has product 0.
+the forward/backward path verifiers.
 """
 
 from __future__ import annotations
@@ -17,11 +16,8 @@ import numpy as np
 from .cones import is_copositive
 from .complement import DualDecomposition, cp_membership, embed, face_nnls
 from .symcore import (
-    NOT_PSD,
-    PSD_INTERIOR,
     Tolerances,
     numerical_rank,
-    psd_status,
     smat,
     svec,
     svec_dim,
@@ -276,23 +272,3 @@ def verify_backward(x_path: list, w_paths: list, zs: ZeroStructure,
             "complementarity_ok": comp <= tol.slack,
         })
     return reports
-
-
-NOT_APPLICABLE = "NOT_APPLICABLE"
-
-
-def check_p23101(x: np.ndarray, u: np.ndarray, tol: Tolerances = Tolerances()):
-    """Executable check: anticommuting pair with interior-PSD sum is a PSD
-    pair with vanishing product."""
-    x = symmetrize(x)
-    u = symmetrize(u)
-    if np.linalg.norm(u @ x + x @ u) > tol.slack:
-        return NOT_APPLICABLE
-    verdict, _ = psd_status(x + u, tol)
-    if verdict != PSD_INTERIOR:
-        return NOT_APPLICABLE
-    x_psd = psd_status(x, tol)[0] != NOT_PSD
-    u_psd = psd_status(u, tol)[0] != NOT_PSD
-    product_zero = bool(np.linalg.norm(u @ x) <= tol.slack)
-    return {"x_psd": x_psd, "u_psd": u_psd, "product_zero": product_zero}
-

@@ -211,12 +211,6 @@ def numerical_rank(sv: np.ndarray, tol: Tolerances) -> int:
     return int(np.sum(sv > tol.rank_tol * sv[0]))
 
 
-def null_eigenvalues(lam: np.ndarray, tol: Tolerances) -> np.ndarray:
-    """Zero-eigenvalue mask, |lam| <= psd_tol * max(1, max |lam|), per last axis."""
-    lam = np.abs(lam)
-    return lam <= tol.psd_tol * np.max(lam, axis=-1, keepdims=True, initial=1.0)
-
-
 def outer_columns(gens) -> np.ndarray:
     """C-contiguous (p(p+1)/2, n) matrix whose columns are svec(g g'), g the
     rows of gens, bit for bit: <Y, g g'> is svec(Y) . column."""
@@ -395,13 +389,6 @@ def _simplex(t, basis, nonbasic, cost, piv, zero, rc_tol) -> bool:
                 return False
         _pivot(t, basis, nonbasic, r, e)
     raise RuntimeError("simplex pivot limit reached")
-
-
-def kernel_basis(f: np.ndarray, tol: Tolerances) -> list[np.ndarray]:
-    """Orthonormal basis of the numerical null space of a symmetric matrix."""
-    lam, vecs = np.linalg.eigh(symmetrize(f))
-    keep = null_eigenvalues(lam, tol)
-    return [vecs[:, i].copy() for i in np.nonzero(keep)[0]]
 
 
 def symmat_to_json(f: np.ndarray) -> dict:

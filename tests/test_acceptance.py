@@ -6,6 +6,7 @@ Each test covers one numbered acceptance criterion and prints a single
 
 import numpy as np
 import pytest
+from scipy.linalg import null_space
 from scipy.optimize import linprog
 
 from copcomp.complement import (FAIL, PASS, check_assumptions, cp_membership,
@@ -14,7 +15,6 @@ from copcomp.cones import doubly_nonnegative, is_copositive
 from copcomp.defeq import (
     NO_CONVERGENCE,
     build_system,
-    check_p23101,
     jacobian,
     rank_certificate,
     reconstruct_U,
@@ -34,8 +34,10 @@ from copcomp.paperlab import (
     extremal5_path,
     run_scenario,
 )
-from copcomp.symcore import Tolerances, kernel_basis, svec, sym_kron
+from copcomp.symcore import (NOT_PSD, PSD_INTERIOR, Tolerances, psd_status, svec,
+                             sym_kron)
 from copcomp.zerostruct import compute_zero_structure
+from oracles import simplex_min_oracle
 
 TOL = Tolerances()
 
@@ -233,7 +235,6 @@ def test_criterion_4_property_suite(announce):
                 assert np.abs(jac - fd).max() / scale <= 1e-6
 
         # (c) zero-vertex oracle agreement on structured matrices
-        from copcomp.cones import simplex_min_oracle
         rng_c = np.random.default_rng(20240902)
         for _ in range(50):
             x, _ = _structured_instance(rng_c)
@@ -252,8 +253,12 @@ def test_criterion_4_property_suite(announce):
             uvals = np.where(~mask, rng_d.uniform(0.5, 2.0, p), 0.0)
             x = q @ np.diag(xvals) @ q.T
             u = q @ np.diag(uvals) @ q.T
-            out = check_p23101(x, u, TOL)
-            assert out == {"x_psd": True, "u_psd": True, "product_zero": True}
+            # an anticommuting pair with positive definite sum (the lemma's
+            # hypotheses) is a PSD pair with product 0
+            assert np.linalg.norm(u @ x + x @ u) <= TOL.slack
+            assert psd_status(x + u, TOL)[0] == PSD_INTERIOR
+            assert psd_status(x, TOL)[0] != NOT_PSD
+            assert psd_status(u, TOL)[0] != NOT_PSD
             assert np.linalg.norm(u @ x) <= 1e-9
         for _ in range(50):
             p = int(rng_d.integers(2, 7))
@@ -289,7 +294,7 @@ def test_criterion_4_property_suite(announce):
             vt = np.column_stack(vertices)
             uu, ss, _ = np.linalg.svd(vt, full_matrices=False)
             vq = uu[:, ss > 1e-10 * ss[0]]
-            kq = np.column_stack(kernel_basis(x, TOL))
+            kq = null_space(x, rcond=TOL.psd_tol)
             assert np.linalg.norm(kq - vq @ (vq.T @ kq)) <= 1e-8
             assert np.linalg.norm(vq - kq @ (kq.T @ vq)) <= 1e-8
 

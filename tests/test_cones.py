@@ -12,16 +12,15 @@ from copcomp.complement import cp_membership
 from copcomp.cones import (
     EXACT_COPOSITIVITY_LIMIT,
     OrderLimitError,
-    _simplex_project,
     _sweep,
     doubly_nonnegative,
     is_copositive,
-    simplex_min_oracle,
     unit_scale,
 )
 from copcomp.paperlab import build_extremal5
 from copcomp.symcore import Tolerances, save_symmat, symmetrize
 from copcomp.zerostruct import compute_zero_structure
+from oracles import simplex_min_oracle
 
 TOL = Tolerances()
 RNG = np.random.default_rng(20240818)
@@ -94,83 +93,20 @@ def test_oracle_matches_exact_minimum():
         assert arg.min() >= -1e-12 and np.isclose(arg.sum(), 1.0)
 
 
-def _oracle_reference(x, grid_depth):
-    """simplex_min_oracle with each grid point built in a Python loop and
-    scored in batches of 4096, followed by the same refinement."""
-    x = symmetrize(x)
-    p = x.shape[0]
-    best_val = np.inf
-    best_t = None
-    batch = []
-    for comp in itertools.combinations(range(grid_depth + p - 1), p - 1):
-        prev = -1
-        t = np.empty(p)
-        bounds = comp + (grid_depth + p - 1,)
-        for i, c in enumerate(bounds):
-            t[i] = c - prev - 1
-            prev = c
-        batch.append(t / grid_depth)
-        if len(batch) == 4096:
-            tb = np.asarray(batch)
-            vals = np.einsum("ij,jk,ik->i", tb, x, tb)
-            i = int(np.argmin(vals))
-            if vals[i] < best_val:
-                best_val, best_t = float(vals[i]), tb[i]
-            batch = []
-    if batch:
-        tb = np.asarray(batch)
-        vals = np.einsum("ij,jk,ik->i", tb, x, tb)
-        i = int(np.argmin(vals))
-        if vals[i] < best_val:
-            best_val, best_t = float(vals[i]), tb[i]
-    t = best_t.copy()
-    lip = max(1.0, 2.0 * float(np.linalg.norm(x, 2)))
-    for _ in range(500):
-        d = _simplex_project(t - (2.0 * x @ t) / lip) - t
-        if np.linalg.norm(d, ord=np.inf) < 1e-14:
-            break
-        neg = d < -1e-15
-        alpha_max = float(np.min(-t[neg] / d[neg])) if np.any(neg) else 1.0
-        c2 = float(d @ x @ d)
-        c1 = 2.0 * float(t @ x @ d)
-        if c2 > 0.0:
-            alpha = min(alpha_max, max(0.0, -c1 / (2.0 * c2)))
-        else:
-            alpha = alpha_max if c1 + c2 * alpha_max < 0.0 else 0.0
-        if alpha == 0.0:
-            break
-        t = np.clip(t + alpha * d, 0.0, None)
-        t /= t.sum()
-    val = float(t @ x @ t)
-    if val < best_val:
-        best_val, best_t = val, t
-    return best_val, best_t
-
-
-def _oracle_cases():
-    rng = np.random.default_rng(20261018)
-    for p in range(1, 7):
-        a = rng.standard_normal((p, p))
-        for depth in range(1, 9):
-            yield a + a.T, depth
-    h = np.zeros((8, 8))
-    h[:5, :5] = build_extremal5()["x"]
-    yield h, 6  # tied minimizers on the zero set
-    a = rng.standard_normal((8, 8))
-    yield a + a.T, 8  # 6,435 grid points: more than one batch
-
-
-def test_oracle_matches_the_per_point_grid_loop_bit_for_bit():
-    for x, depth in _oracle_cases():
-        val, arg = simplex_min_oracle(x, depth)
-        ref_val, ref_arg = _oracle_reference(x, depth)
-        assert val == ref_val, (x.shape, depth)
-        assert arg.tobytes() == ref_arg.tobytes(), (x.shape, depth)
-
-
-def test_oracle_rejects_bad_depth():
-    with pytest.raises(ValueError):
-        simplex_min_oracle(np.eye(2), grid_depth=0)
+def test_negative_diagonal_min_value_is_the_diagonal_entry():
+    # the short circuit stops at the least diagonal entry, an upper bound on
+    # the simplex minimum that the grid oracle undercuts here
+    rng = np.random.default_rng(0)
+    for _ in range(7):
+        a = rng.standard_normal((4, 4))
+    x = 0.5 * (a + a.T)
+    v = is_copositive(x, TOL)
+    assert v.supports_checked == 0 and not v.member
+    assert v.min_value == np.min(np.diag(x))
+    assert v.min_value == pytest.approx(-0.713, abs=1e-3)
+    bound, _ = simplex_min_oracle(x, grid_depth=24)
+    assert bound == pytest.approx(-0.846, abs=1e-3)
+    assert bound < v.min_value - 0.1
 
 
 def test_doubly_nonnegative():

@@ -9,9 +9,7 @@ from copcomp.complement import decompose_dual, face_nnls
 from copcomp.cones import doubly_nonnegative
 from copcomp.defeq import (
     NO_CONVERGENCE,
-    NOT_APPLICABLE,
     build_system,
-    check_p23101,
     jacobian,
     rank_certificate,
     reconstruct_U,
@@ -31,7 +29,15 @@ from copcomp.paperlab import (
     pp4z_j_path,
     pp4z_jjj_path,
 )
-from copcomp.symcore import Tolerances, svec, svec_dim, sym_kron
+from copcomp.symcore import (
+    NOT_PSD,
+    PSD_INTERIOR,
+    Tolerances,
+    psd_status,
+    svec,
+    svec_dim,
+    sym_kron,
+)
 from copcomp.zerostruct import compute_zero_structure
 
 TOL = Tolerances()
@@ -331,6 +337,22 @@ def test_solve_local_builds_the_jacobian_once(monkeypatch):
     assert solved == 9
 
 
+def test_solve_local_reports_no_convergence_past_50_halvings():
+    # max|r(X, W0)| = 2.8e6 needs 52 halvings to reach zero_tol, past the 50
+    # allowed: the residual returned is that of 2^-50 W0; at 1e3 it needs 42
+    data, zs, dd, sys = _anchor("s4")
+    e = np.zeros((3, 3))
+    e[0, 1] = e[1, 0] = 1.0
+    _, ws0 = sys.split(sys.anchor)
+    x = data["x"] + 1e6 * e
+    r0 = np.max(np.abs(residual(sys, sys.pack(x, ws0))))
+    out = solve_local(sys, x, TOL)
+    assert isinstance(out, tuple) and out[0] == NO_CONVERGENCE
+    assert out[1] > TOL.zero_tol
+    assert out[1] == pytest.approx(np.ldexp(r0, -50), rel=1e-6)
+    assert isinstance(solve_local(sys, data["x"] + 1e3 * e, TOL), list)
+
+
 def test_solve_local_identity_forces_zero_w():
     data, zs, dd, sys = _anchor("s4")
     ws = solve_local(sys, np.eye(3), TOL)
@@ -502,20 +524,16 @@ def test_reconstruct_refuses_an_extra_w_block():
 
 
 def test_check_p23101_constructed_pairs():
-    assert check_p23101(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), TOL) == {
-        "x_psd": True, "u_psd": True, "product_zero": True}
-    x = np.array([[1.0, -1.0], [-1.0, 1.0]])
-    u = np.ones((2, 2))
-    out = check_p23101(x, u, TOL)
-    assert out["x_psd"] and out["u_psd"] and out["product_zero"]
-
-
-def test_check_p23101_not_applicable():
-    # anticommutator violated
-    assert check_p23101(np.eye(2), np.eye(2), TOL) == NOT_APPLICABLE
-    # sum not interior
-    assert check_p23101(np.diag([1.0, 0.0]),
-                        np.diag([0.0, 0.0]), TOL) == NOT_APPLICABLE
+    # the appendix lemma: an anticommuting pair with positive definite sum
+    # is a PSD pair with product 0
+    pairs = [(np.diag([1.0, 0.0]), np.diag([0.0, 1.0])),
+             (np.array([[1.0, -1.0], [-1.0, 1.0]]), np.ones((2, 2)))]
+    for x, u in pairs:
+        assert np.linalg.norm(u @ x + x @ u) <= TOL.slack
+        assert psd_status(x + u, TOL)[0] == PSD_INTERIOR
+        assert psd_status(x, TOL)[0] != NOT_PSD
+        assert psd_status(u, TOL)[0] != NOT_PSD
+        assert np.linalg.norm(u @ x) <= 1e-9
 
 
 def test_ppa1_statement_a():

@@ -13,10 +13,8 @@ from copcomp.symcore import (
     SymMatError,
     Tolerances,
     check_symmetric,
-    kernel_basis,
     linprog,
     nnls,
-    null_eigenvalues,
     numerical_rank,
     outer_columns,
     psd_status,
@@ -200,38 +198,6 @@ def test_rank_utilities():
     assert rank_of_vectors([svec(m) for m in mats + [mats[0] + mats[1]]], tol) == 2
 
 
-def _null_scalar(lam, tol):
-    # reference: kernel_basis's former rule on one spectrum
-    scale = max(1.0, float(np.max(np.abs(lam))) if lam.size else 1.0)
-    return np.abs(lam) <= tol.psd_tol * scale
-
-
-def _null_batched(lam, tol):
-    # reference: the zero-vertex sweep's former rule, one spectrum per row
-    scale = np.maximum(1.0, np.max(np.abs(lam), axis=1, keepdims=True))
-    return np.abs(lam) <= tol.psd_tol * scale
-
-
-def test_null_eigenvalues_match_the_inline_rules():
-    rng = np.random.default_rng(20261019)
-    tol = Tolerances(psd_tol=1e-6)
-    spectra = [np.zeros(0), np.zeros(4), np.array([-1e-6, 1e-6, 2.0]),
-               np.array([1e-6, 1e-6 * (1 + 1e-12), 0.5])]
-    for _ in range(50):
-        lam = rng.standard_normal(int(rng.integers(1, 7)))
-        lam *= 10.0 ** rng.uniform(-8, 3)
-        lam[rng.random(lam.size) < 0.3] *= 1e-7
-        spectra.append(lam)
-    for lam in spectra:
-        assert np.array_equal(null_eigenvalues(lam, tol), _null_scalar(lam, tol))
-    for m, k in ((0, 3), (1, 1), (7, 4), (30, 6)):
-        lam = rng.standard_normal((m, k)) * 10.0 ** rng.uniform(-8, 3, (m, 1))
-        lam[rng.random((m, k)) < 0.3] *= 1e-6
-        if m:
-            lam[0] = 0.0
-        assert np.array_equal(null_eigenvalues(lam, tol), _null_batched(lam, tol))
-
-
 def _rank_of_vectors_rule(sv, tol):
     # reference: rank_of_vectors's former inline rule
     if sv.size == 0 or sv[0] == 0.0:
@@ -267,14 +233,6 @@ def test_outer_columns_match_column_stack_bit_for_bit():
             cols = outer_columns(form)
             assert cols.flags["C_CONTIGUOUS"]
             assert np.array_equal(cols, ref)
-
-
-def test_kernel_basis():
-    tol = Tolerances()
-    x = np.diag([1.0, 0.0, 2.0])
-    basis = kernel_basis(x, tol)
-    assert len(basis) == 1
-    assert np.allclose(np.abs(basis[0]), [0.0, 1.0, 0.0], atol=1e-12)
 
 
 def test_json_roundtrip(tmp_path):

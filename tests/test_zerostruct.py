@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy.linalg import null_space
 from scipy.optimize import linprog
 
 from copcomp.cones import is_copositive, unit_scale
@@ -15,7 +16,7 @@ from copcomp.paperlab import (
     build_s4,
     extremal5_matrix,
 )
-from copcomp.symcore import SymMatError, Tolerances, null_eigenvalues
+from copcomp.symcore import SymMatError, Tolerances
 from copcomp.zerostruct import (
     ZeroStructureError,
     basis_subset,
@@ -24,6 +25,7 @@ from copcomp.zerostruct import (
     pair_sums,
     partition_blocks,
 )
+from oracles import simplex_min_oracle
 
 TOL = Tolerances()
 RNG = np.random.default_rng(20240819)
@@ -290,8 +292,6 @@ def _hull_distance(t, vertices):
 
 
 def test_oracle_agreement_on_structured_matrices():
-    from copcomp.cones import simplex_min_oracle
-
     rng = np.random.default_rng(20240820)
     for _ in range(50):
         x, t_star = _structured_instance(rng)
@@ -306,8 +306,6 @@ def test_oracle_agreement_on_structured_matrices():
 def test_kernel_span_property():
     # PSD matrices with a strictly positive kernel vector: the zero-set
     # vertices span the kernel (mutual projection residuals <= 1e-8)
-    from copcomp.symcore import kernel_basis
-
     rng = np.random.default_rng(20240821)
     for _ in range(20):
         p = int(rng.integers(2, 6))
@@ -321,7 +319,7 @@ def test_kernel_span_property():
         vt = np.column_stack(vertices)
         uu, ss, _ = np.linalg.svd(vt, full_matrices=False)
         vq = uu[:, ss > 1e-10 * ss[0]]
-        kq = np.column_stack(kernel_basis(x, TOL))
+        kq = null_space(x, rcond=TOL.psd_tol)
         assert np.linalg.norm(kq - vq @ (vq.T @ kq)) <= 1e-8
         assert np.linalg.norm(vq - kq @ (kq.T @ vq)) <= 1e-8
 
@@ -454,7 +452,7 @@ def _kernel_scan_vertices(x, tol):
         supports = np.array(list(itertools.combinations(range(p), size)))
         xi = x[supports[:, :, None], supports[:, None, :]]
         lam, vecs = np.linalg.eigh(xi)
-        null = null_eigenvalues(lam, tol)
+        null = np.abs(lam) <= tol.psd_tol * np.abs(lam).max(axis=1, keepdims=True, initial=1.0)
         for m in np.nonzero(np.count_nonzero(null, axis=1) == 1)[0]:
             v = vecs[m][:, np.argmax(null[m])]
             v = -v if v.sum() < 0 else v
