@@ -3,8 +3,9 @@
 :func:`analyze` runs the stages in their one order: the copositivity
 sweep of X, X's zero structure, U's dual decomposition over it, the
 assumptions j)-jjj) with conditions i)-iii), and the rank of the defining
-system at the anchor.  :meth:`Analysis.to_json` writes the ``copcomp/2``
-report of ``copcomp analyze --json``.
+system at the anchor.  The stages return plain data; :meth:`Analysis.to_json`
+is the one writer of the ``copcomp/2`` report of ``copcomp analyze --json``,
+and lays out every section of it from their fields.
 """
 
 from __future__ import annotations
@@ -35,6 +36,22 @@ def _digest(*mats) -> str:
     return h.hexdigest()[:16]
 
 
+def _plain(v):
+    """``v`` in JSON's types: arrays and tuples as lists, dict keys as strings."""
+    if isinstance(v, np.ndarray):
+        return v.tolist()
+    if isinstance(v, dict):
+        return {str(k): _plain(x) for k, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [_plain(x) for x in v]
+    return v
+
+
+def _one_based(sets) -> list:
+    """0-based index sets as lists of 1-based indices."""
+    return [[k + 1 for k in s] for s in sets]
+
+
 @dataclasses.dataclass
 class Analysis:
     """The result of every stage :func:`analyze` reached, None past the
@@ -55,7 +72,14 @@ class Analysis:
 
     def to_json(self) -> dict:
         """The ``copcomp/2`` report: inputs, tolerances, a digest of the
-        inputs, one section per stage reached, the verdict and any error."""
+        inputs, one section per stage reached, the verdict and any error.
+        Index sets and vertex subsets are 1-based; ``copositive`` has a
+        ``witness`` only when X is not copositive."""
+        cop = self.copositive
+        copositive = {"member": cop.member, "min_value": cop.min_value,
+                      "argmin": cop.argmin, "supports_checked": cop.supports_checked}
+        if cop.witness is not None:
+            copositive["witness"] = cop.witness
         report = {
             "schema": SCHEMA,
             "version": __version__,
@@ -63,14 +87,25 @@ class Analysis:
             "tolerances": dataclasses.asdict(self.tol),
             "inputs": {"x": symmat_to_json(self.x),
                        "u": None if self.u is None else symmat_to_json(self.u)},
-            "copositive": self.copositive.to_json(),
+            "copositive": _plain(copositive),
         }
-        for key, part in (("zero_structure", self.zero_structure),
-                          ("decomposition", self.decomposition),
-                          ("assumptions", self.assumptions),
-                          ("rank_certificate", self.rank)):
-            if part is not None:
-                report[key] = part.to_json()
+        if (zs := self.zero_structure) is not None:
+            report["zero_structure"] = {
+                "p": zs.p, "vertices": _plain(zs.vertices),
+                **{name: _one_based(getattr(zs, name))
+                   for name in ("contact_sets", "blocks", "supports", "basis")},
+                "overlapping_blocks": zs.overlapping_blocks}
+        if (dd := self.decomposition) is not None:
+            report["decomposition"] = {
+                "restricted": _plain(dd.restricted), "residual": dd.residual,
+                "coefficients": [{"+".join(map(str, combo)): w for combo, w
+                                  in zip(_one_based(coeff), coeff.values())}
+                                 for coeff in dd.coefficients]}
+        if self.assumptions is not None:
+            report["assumptions"] = _plain(dataclasses.asdict(self.assumptions))
+        if self.rank is not None:
+            report["rank_certificate"] = (dataclasses.asdict(self.rank)
+                                          | {"full_rank": self.rank.full_rank})
         report["verdict"] = self.verdict
         if self.error is not None:
             report["error"] = self.error

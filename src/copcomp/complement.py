@@ -47,18 +47,6 @@ class Verdict:
     status: str
     certificate: dict = field(default_factory=dict)
 
-    def to_json(self) -> dict:
-        def conv(v):
-            if isinstance(v, np.ndarray):
-                return v.tolist()
-            if isinstance(v, dict):
-                return {str(k): conv(x) for k, x in v.items()}
-            if isinstance(v, (list, tuple)):
-                return [conv(x) for x in v]
-            return v
-
-        return {"status": self.status, "certificate": conv(self.certificate)}
-
 
 @dataclass
 class DualDecomposition:
@@ -69,17 +57,6 @@ class DualDecomposition:
     coefficients: list  # per block: {vertex subset: positive NNLS weight}
     residual: float
 
-    def to_json(self) -> dict:
-        return {
-            "restricted": [w.tolist() for w in self.restricted],
-            "coefficients": [
-                {"+".join(str(j + 1) for j in combo): float(w)
-                 for combo, w in coeff.items()}
-                for coeff in self.coefficients
-            ],
-            "residual": self.residual,
-        }
-
 
 @dataclass
 class AssumptionReport:
@@ -89,10 +66,6 @@ class AssumptionReport:
     cond_i: Verdict
     cond_ii: Verdict
     cond_iii: Verdict
-
-    def to_json(self) -> dict:
-        return {name: getattr(self, name).to_json()
-                for name in ("j", "jj", "jjj", "cond_i", "cond_ii", "cond_iii")}
 
 
 def embed(w: np.ndarray, support, p: int) -> np.ndarray:

@@ -38,17 +38,6 @@ class CopVerdict:
     zeros: list = field(default_factory=list)  # zero vertices
     contact_sets: list = field(default_factory=list)  # 0-based, one per zero
 
-    def to_json(self) -> dict:
-        out = {
-            "member": self.member,
-            "min_value": self.min_value,
-            "argmin": self.argmin.tolist(),
-            "supports_checked": self.supports_checked,
-        }
-        if self.witness is not None:
-            out["witness"] = self.witness.tolist()
-        return out
-
 
 def unit_scale(x: np.ndarray) -> tuple[np.ndarray, int]:
     """(X / 2^e, e), 2^e the power of two nearest max|X|, read off the

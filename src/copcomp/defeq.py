@@ -98,16 +98,6 @@ class RankCertificate:
     def full_rank(self) -> bool:
         return self.rank_computed == self.m_expected
 
-    def to_json(self) -> dict:
-        return {
-            "m_expected": self.m_expected,
-            "rank_computed": self.rank_computed,
-            "sigma_min_kept": self.sigma_min_kept,
-            "sigma_max_dropped": self.sigma_max_dropped,
-            "sigma_ratio": self.sigma_ratio,
-            "full_rank": self.full_rank,
-        }
-
 
 def build_system(zs: ZeroStructure, dd: DualDecomposition) -> DefiningSystem:
     """Layout and anchor z0 from a zero structure and dual decomposition."""

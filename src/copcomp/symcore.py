@@ -1,7 +1,8 @@
 """Symmetric-matrix primitives: svec/smat, symmetric Kronecker product,
-spectral and rank utilities with explicit tolerances, and the two
-solvers the package needs, both on numpy alone: Lawson-Hanson
-nonnegative least squares and a dense simplex for small linear programs.
+spectral and rank utilities with explicit tolerances, the two solvers the
+package needs, both on numpy alone (Lawson-Hanson nonnegative least
+squares and a dense simplex for small linear programs), and the SymMat
+JSON of matrix files, which the analyze report's inputs share.
 
 All routines operate on dense symmetric numpy arrays in float64.  The svec
 convention scales off-diagonal entries by sqrt(2) so that

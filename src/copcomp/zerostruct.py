@@ -24,7 +24,7 @@ class ZeroStructure:
     """Vertices tau(j), contact sets M(j), blocks J(s), supports P_*(s),
     and basis subsets J_b(s) for one copositive matrix.
 
-    All index sets are 0-based internally; JSON serialization is 1-based.
+    All index sets are 0-based; the analyze report writes them 1-based.
     """
 
     x: np.ndarray
@@ -43,17 +43,6 @@ class ZeroStructure:
         """The vertices tau(j), j in J(s), restricted to P_*(s)."""
         idx = np.asarray(self.supports[s])
         return [self.vertices[j][idx] for j in self.blocks[s]]
-
-    def to_json(self) -> dict:
-        return {
-            "p": self.p,
-            "vertices": [v.tolist() for v in self.vertices],
-            "contact_sets": [[k + 1 for k in m] for m in self.contact_sets],
-            "blocks": [[j + 1 for j in b] for b in self.blocks],
-            "supports": [[k + 1 for k in ps] for ps in self.supports],
-            "basis": [[j + 1 for j in b] for b in self.basis],
-            "overlapping_blocks": self.overlapping_blocks,
-        }
 
 
 def pair_index_set(indices) -> list[tuple[int, int]]:

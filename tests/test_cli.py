@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -15,7 +17,8 @@ from copcomp.cli import SCHEMA, main
 from copcomp.cones import EXACT_COPOSITIVITY_LIMIT
 from copcomp.paperlab import (SCENARIOS, build_extremal5, build_pp4z_j,
                                build_s4, scenario_names)
-from copcomp.defeq import DefiningSystem, rank_certificate, reconstruct_U
+from copcomp.defeq import (DefiningSystem, RankCertificate, rank_certificate,
+                           reconstruct_U)
 from copcomp.symcore import Tolerances, svec, symmat_from_json, symmat_to_json
 
 
@@ -126,6 +129,20 @@ def test_analyze_malformed_symmat_exit_2(tmp_path, s4_files, capsys, case,
     out, err = capsys.readouterr()
     assert rc == 2 and out == ""
     assert err.startswith("input error: ")
+
+
+@pytest.mark.parametrize("doc", ["[]", "[[1.0]]", '"x"', "null",
+                                 '{"rows": [[1.0]]}', '{"p": 1}'],
+                         ids=["list", "nested-list", "string", "null", "no-p",
+                              "no-rows"])
+def test_analyze_malformed_symmat_document_exit_2(tmp_path, capsys, doc):
+    path = tmp_path / "bad.json"
+    path.write_text(doc)
+    rc = main(["analyze", str(path)])
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == ""
+    assert err.startswith("input error: malformed SymMat JSON: ")
+    assert err.count("\n") == 1
 
 
 def test_analyze_bad_tolerance_exit_2(s4_files, capsys):
@@ -497,6 +514,28 @@ def _close_report(got, want, where=""):
         assert got == want and type(got) is type(want), (where, got, want)
 
 
+@pytest.mark.parametrize("x, copositive", [
+    # a negative diagonal entry short-circuits the sweep
+    ([[1.0, 0.0, 0.0], [0.0, -2.0, 0.0], [0.0, 0.0, 3.0]],
+     {"member": False, "min_value": -2.0, "argmin": [0.0, 1.0, 0.0],
+      "witness": [0.0, 1.0, 0.0], "supports_checked": 0}),
+    ([[1.0, -2.0], [-2.0, 1.0]],
+     {"member": False, "min_value": -0.5, "argmin": [0.5, 0.5],
+      "witness": [0.5, 0.5], "supports_checked": 3}),
+], ids=["negative-diagonal", "sweep"])
+def test_analyze_not_copositive_report(tmp_path, capsys, x, copositive):
+    # the whole section, witness included; a member's report has no witness
+    # (test_analyze_zero_block_component_report)
+    rc = main(["analyze", _write(tmp_path, "x.json", x), "--json"])
+    out, err = capsys.readouterr()
+    assert rc == 1 and err == ""
+    report = json.loads(out)
+    assert report["verdict"] == "X_NOT_COPOSITIVE"
+    assert set(report) == {"schema", "version", "digest", "tolerances", "inputs",
+                           "copositive", "verdict"}
+    _close_report(report["copositive"], copositive)
+
+
 def test_analyze_zero_block_component_report(tmp_path, capsys):
     # U = b b' on the s4 X: block (1) of the two-block structure gets the
     # zero component, whose positive factor is the empty p x 0 matrix
@@ -572,13 +611,20 @@ def test_analyze_report_states_each_fact_once(tmp_path, capsys, pair):
     assert "system" not in report
     assert set(report["decomposition"]) == {"restricted", "coefficients",
                                             "residual"}
-    assert not hasattr(DefiningSystem, "to_json")
+    # the stages return plain data: Analysis.to_json writes every section
+    for cls in (cones.CopVerdict, zerostruct.ZeroStructure,
+                complement.DualDecomposition, complement.Verdict,
+                complement.AssumptionReport, DefiningSystem, RankCertificate):
+        assert not hasattr(cls, "to_json"), cls
     zsj, dec = report["zero_structure"], report["decomposition"]
     supports = [tuple(k - 1 for k in ps) for ps in zsj["supports"]]
     system = DefiningSystem(p=zsj["p"], supports=supports)
     tol = Tolerances(**report["tolerances"])
     cert = rank_certificate(system, _anchor_from_report(report), tol)
-    assert cert.to_json() == report["rank_certificate"]
+    fields = {f.name for f in dataclasses.fields(RankCertificate)}
+    assert set(report["rank_certificate"]) == fields | {"full_rank"}
+    assert report["rank_certificate"] == {k: getattr(cert, k)
+                                          for k in report["rank_certificate"]}
     # the report's W0(s) are the decomposition's, bit for bit, and placed
     # on their P*(s) they sum to U
     x_in = symmat_from_json(report["inputs"]["x"])
@@ -590,6 +636,22 @@ def test_analyze_report_states_each_fact_once(tmp_path, capsys, pair):
     assert np.max(np.abs(reconstruct_U(system, dd.restricted) - u_in)) <= tol.slack
     a = report["assumptions"]
     assert (a["jj"]["status"] == "PASS") == a["cond_i"]["certificate"]["unique"]
+
+
+def test_module_entry_point_is_the_cli(capsys):
+    # python -m copcomp.cli runs main and exits with its code
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    assert main(["scenario", "list"]) == 0
+    listing = capsys.readouterr().out
+    for argv, want in ((["scenario", "list"], (0, listing, "")),
+                       (["scenario", "run", "nope"],
+                        (2, "", "input error: unknown scenario 'nope'; known: "
+                                f"{', '.join(SCENARIOS)}\n"))):
+        proc = subprocess.run([sys.executable, "-m", "copcomp.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stdout, proc.stderr) == want, argv
 
 
 _IMPORT_PATH_SCRIPT = """

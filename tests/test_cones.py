@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.sparse.csgraph import connected_components
 
+from copcomp.analysis import analyze
 from copcomp.cli import main
 from copcomp.complement import cp_membership
 from copcomp.cones import (
@@ -277,7 +278,9 @@ def test_member_floor_scales_with_x():
     assert v.member is False and v.supports_checked == 0
     v = is_copositive(1e8 * build_extremal5()["x"], TOL)
     assert v.member is True and -1e-8 < v.min_value < -TOL.zero_tol
-    json.dumps(v.to_json())
+    cop = json.loads(json.dumps(analyze(1e8 * build_extremal5()["x"], tol=TOL)
+                                .to_json()["copositive"]))
+    assert cop["member"] is True and cop["min_value"] == v.min_value
 
 
 def test_min_value_scales_with_x():

@@ -441,6 +441,23 @@ def test_pack_refuses_an_x_of_the_wrong_order():
         sys.pack(np.eye(4), ws)
 
 
+def test_pack_refuses_a_w_block_of_the_wrong_order():
+    data, zs, dd, sys = _anchor("s4")
+    x, ws = sys.split(sys.anchor)
+    with pytest.raises(ValueError, match="W block order does not match its support"):
+        sys.pack(x, [ws[0], np.eye(3)])
+
+
+@pytest.mark.parametrize("length", [11, 13])
+def test_split_and_residual_refuse_a_z_of_the_wrong_length(length):
+    _, _, _, sys = _anchor("s4")
+    z = np.zeros(length)
+    for read in (sys.split, lambda z: residual(sys, z)):
+        with pytest.raises(ValueError, match=f"z length \\({length},\\) does not "
+                                             "match layout 12"):
+            read(z)
+
+
 def test_verify_backward_flags_non_copositive_x():
     for path_fn, name in ((pp4z_j_path, "pp4z-j"), (pp4z_jjj_path, "pp4z-jjj")):
         data, zs, dd, sys = _anchor(name)

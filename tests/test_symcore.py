@@ -120,6 +120,13 @@ def test_svec_smat_roundtrip():
         assert np.allclose(smat(v, p), f, atol=1e-14)
 
 
+def test_smat_refuses_an_svec_of_the_wrong_length():
+    with pytest.raises(SymMatError, match=r"svec length \(5,\) does not match p=3"):
+        smat(np.zeros(5), 3)
+    with pytest.raises(SymMatError, match="need 6"):
+        smat(np.zeros((2, 3)), 3)
+
+
 def _svec_loop(f):
     out = np.empty(svec_dim(f.shape[0]))
     for idx, (k, l) in enumerate(svec_pairs(f.shape[0])):

@@ -5,6 +5,7 @@ import pytest
 from scipy.linalg import null_space
 from scipy.optimize import linprog
 
+from copcomp.analysis import analyze
 from copcomp.cones import is_copositive, unit_scale
 from copcomp.paperlab import (
     THETA_STAR,
@@ -325,8 +326,7 @@ def test_kernel_span_property():
 
 
 def test_to_json_uses_one_based_indices():
-    zs = compute_zero_structure(build_s4()["x"], TOL)
-    obj = zs.to_json()
+    obj = analyze(build_s4()["x"], tol=TOL).to_json()["zero_structure"]
     assert sorted(map(tuple, obj["supports"])) == [(1, 2), (2, 3)]
     assert sorted(map(tuple, obj["contact_sets"])) == [(1, 2), (2, 3)]
     assert obj["p"] == 3
@@ -339,7 +339,11 @@ def test_zero_structure_reuses_verdict(build):
     verdict = is_copositive(x, TOL)
     given = compute_zero_structure(x, TOL, verdict)
     fresh = compute_zero_structure(x, TOL)
-    assert given.to_json() == fresh.to_json()
+    assert np.array_equal(given.x, fresh.x) and given.p == fresh.p
+    assert ([v.tolist() for v in given.vertices]
+            == [v.tolist() for v in fresh.vertices])
+    for name in ("contact_sets", "blocks", "supports", "basis", "overlapping_blocks"):
+        assert getattr(given, name) == getattr(fresh, name), name
 
 
 def test_zero_structure_rejects_non_member_verdict():
